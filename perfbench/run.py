@@ -35,13 +35,15 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 SCRATCH = ROOT / ".perfbench_tmp"
 
-import catalog  # noqa: E402
 import selftest  # noqa: E402
 from measure import fail_frac, meets_slo  # noqa: E402
 
-SERVING = ("serve-hw", "serve-long", "fleet-procs")
-ALL_WORKLOADS = [name for name, _ in catalog.WORKLOADS] + \
-    catalog.EXTRA_WORKLOADS
+#: the workloads, the metrics each run reports and the run length
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def workload_names() -> list[str]:
+    return [workload["name"] for workload in BENCHMARK["workloads"]]
 
 
 def git_sha() -> str | None:
@@ -152,8 +154,9 @@ def report_layers_serving(report) -> dict:
     layers = report["layers"]
     print("per layer (traced run, ms per scheduler step; counts over "
           "the window):")
-    for name, unit, _ in catalog.PER_LAYER:
-        print(_line(name, layers.get(name, 0.0), unit))
+    for metric in BENCHMARK["per_layer"]:
+        print(_line(metric["name"], layers.get(metric["name"], 0.0),
+                    metric["unit"]))
     _span_calls(report["traced"].spans)
     split = report["split"]
     step_s = report["step_s"]
@@ -204,8 +207,9 @@ def report_layers_training(report) -> dict:
     layers = training.per_layer(report)
     print(f"per layer (traced run, ms per pipeline pass over "
           f"{report['traced'].passes} passes):")
-    for name, unit, _ in catalog.PER_LAYER:
-        print(_line(name, layers.get(name, 0.0), unit))
+    for metric in BENCHMARK["per_layer"]:
+        print(_line(metric["name"], layers.get(metric["name"], 0.0),
+                    metric["unit"]))
     _span_calls(report["traced"].spans)
     return layers
 
@@ -221,11 +225,9 @@ def run_one(args) -> int:
     print("provenance: " + json.dumps(provenance(), sort_keys=True))
     SCRATCH.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(dir=SCRATCH) as root:
-        if args.workload in SERVING:
-            import serving
-            workload = {w.name: w for w in (
-                serving.SERVE_HW, serving.SERVE_LONG,
-                serving.FLEET_PROCS)}[args.workload]
+        import serving
+        workload = serving.WORKLOADS.get(args.workload)
+        if workload is not None:
             report = serving.run_serving(workload, args.seed,
                                          args.seconds, bool(args.trace),
                                          root)
@@ -250,16 +252,16 @@ def run_one(args) -> int:
     correct = not error and not mismatches and failed == 0
     metrics = {}
     if not error:
-        if args.workload in SERVING:
+        if workload is not None:
             values = (report_layers_serving(report) if args.trace
                       else report_serving(workload, report))
         else:
             values = (report_layers_training(report) if args.trace
                       else report_training(report))
-        table = (catalog.PER_LAYER if args.trace else catalog.END_TO_END)
-        metrics = {name: {"value": float(values.get(name, 0.0)),
-                          "unit": unit}
-                   for name, unit, *_ in table}
+        table = BENCHMARK["per_layer" if args.trace else "end_to_end"]
+        metrics = {m["name"]: {"value": float(values.get(m["name"], 0.0)),
+                               "unit": m["unit"]}
+                   for m in table}
     print(json.dumps({"correct": correct, "attempted": attempted,
                       "failed": failed, "metrics": metrics}))
     return 0 if correct else 1
@@ -271,7 +273,7 @@ def run_all(args) -> int:
     status = 0
     summary = []
     for trace in (0, 1):
-        for workload in ALL_WORKLOADS:
+        for workload in workload_names():
             command = [sys.executable, str(HERE / "run.py"),
                        "--workload", workload, "--seed", str(args.seed),
                        "--seconds", str(args.seconds),
@@ -280,7 +282,10 @@ def run_all(args) -> int:
                                   stdout=subprocess.PIPE)
             print(done.stdout, end="")
             lines = done.stdout.strip().splitlines()
-            result = json.loads(lines[-1]) if lines else {}
+            try:
+                result = json.loads(lines[-1])
+            except (IndexError, ValueError):
+                result = {}          # died before printing its result
             summary.append((workload, trace, done.returncode, result))
             status = status or done.returncode
     print("== summary ==")
@@ -294,10 +299,10 @@ def run_all(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python3 perfbench/run.py",
                                      description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", choices=ALL_WORKLOADS)
+    parser.add_argument("--workload", choices=workload_names())
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float,
-                        default=catalog.RUN_SECONDS)
+                        default=BENCHMARK["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-test", action="store_true",
                         help="check the benchmark's own arithmetic only")
@@ -306,7 +311,7 @@ def main(argv=None) -> int:
         parser.error("--seed must be >= 0")
     if args.seconds <= 0:
         parser.error("--seconds must be > 0")
-    failures, checks = selftest.run(ROOT)
+    failures, checks = selftest.run()
     if failures or args.self_test:
         for failure in failures:
             print(f"self-test failed: {failure}", file=sys.stderr)

@@ -3,10 +3,6 @@ benchmark run (``run.py --self-test`` runs only these)."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-import catalog
 from measure import (Served, Tally, beyond, fail_frac, gaps, geomean,
                      goodput, mean_gap, meets_slo, percentile,
                      step_end_times, tail_supported, throughput)
@@ -20,7 +16,7 @@ def _raises(call, error) -> bool:
     return False
 
 
-def _checks(root: Path):
+def _checks():
     ten = list(range(1, 11))
     thousand = list(range(1, 1001))
     # percentile rule: nearest rank, always an observed sample
@@ -81,14 +77,9 @@ def _checks(root: Path):
     yield "more failed than attempted raises", _raises(
         lambda: fail_frac(2, 3), ValueError)
     yield "geomean", abs(geomean([2.0, 8.0]) - 4.0) < 1e-12
-    # BENCHMARK.json mirrors the catalog
-    path = root / "BENCHMARK.json"
-    if path.exists():
-        yield "BENCHMARK.json matches perfbench/catalog.py", (
-            json.loads(path.read_text()) == catalog.benchmark_json())
 
 
-def run(root: Path) -> tuple[list[str], int]:
+def run() -> tuple[list[str], int]:
     """(names of the checks that failed, number of checks run)."""
-    results = list(_checks(Path(root)))
+    results = list(_checks())
     return [name for name, ok in results if not ok], len(results)

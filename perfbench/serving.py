@@ -29,7 +29,7 @@ import numpy as np
 import layers
 from measure import (Quantile, Served, Tally, gaps, goodput, mean_gap,
                      median, quantile, step_end_times, throughput)
-from spans import Spans
+from spans import Patches, Spans
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,10 @@ FLEET_PROCS = ServingWorkload(
     name="fleet-procs", dim=32, num_layers=2, max_seq_len=32, slots=8,
     token_budget=64, hardware=False, clients=16, prompt_tokens=(1, 8),
     new_tokens=(4, 12), ttft_limit_s=0.050, tpot_limit_s=0.010, procs=2)
+WORKLOADS = {w.name: w for w in (SERVE_HW, SERVE_LONG, FLEET_PROCS)}
 
 #: setups per run; setup_s is their median
-SETUPS = 9
+SETUPS = 21
 #: warm-up: at least this long and this many completions per client
 WARMUP_S = 1.0
 WARMUP_ROUNDS = 3
@@ -295,9 +296,13 @@ def start_core(workload: ServingWorkload, directory: str,
     traced = registry is not None
     tracer = TraceRecorder() if traced else None
     if workload.procs:
+        # each worker loads its own copy of the weights: the shared
+        # mmap sidecar races when workers expand a fresh snapshot
+        # together (README.md, "Findings")
         return ProcessWorkerTier.from_snapshot(
             directory, replicas=workload.procs, policy=_policy(workload),
-            registry=registry, tracer=tracer, **_engine_kwargs(workload))
+            mmap=False, registry=registry, tracer=tracer,
+            **_engine_kwargs(workload))
     core = PrunedInferenceEngine.from_directory(directory)
     return ServingEngine(
         core, _policy(workload), registry=registry, tracer=tracer,
@@ -365,16 +370,57 @@ def _decode_rows(spans, args, kwargs, result):
     spans.counts["models.decode_rows"] += len(args[1])
 
 
-def install_spans(spans: Spans, procs: bool) -> None:
-    """Wrap each layer's public entry points (see README: layers)."""
+class WorkerSteps:
+    """Wall time of each fleet worker's latest ``ServingEngine.step``.
+
+    A worker runs its engine on a clock slaved to the parent's ``now``,
+    so the engine's own ``repro_step_seconds`` reads zero.  Wrapped
+    before the fleet forks, ``ServingEngine.step`` in every worker
+    writes its ``perf_counter`` duration into memory shared with the
+    parent, at the index of the worker's engine name (``worker0``...).
+    Each tier step steps every live worker once, so after it returns
+    the array holds that step's durations."""
+
+    def __init__(self, procs: int):
+        self.last = multiprocessing.RawArray("d", procs)
+
+    def install(self, patches: Patches) -> None:
+        from repro.serve import ServingEngine
+
+        last = self.last
+
+        def make(original):
+            def step(engine, *args, **kwargs):
+                start = perf_counter()
+                try:
+                    return original(engine, *args, **kwargs)
+                finally:
+                    index = int(engine.name.removeprefix("worker"))
+                    last[index] = perf_counter() - start
+            return step
+
+        patches.replace(ServingEngine, "step", make)
+
+    def add_slowest(self, spans, args, kwargs, result) -> None:
+        """Span hook of the tier's step: the slowest worker's step."""
+        spans.counts["ipc.worker_step"] += max(self.last)
+
+
+def install_spans(spans: Spans, workload: ServingWorkload) -> None:
+    """Wrap each layer's public entry points (see README: layers).  For
+    a fleet, call before it starts, so its workers inherit the
+    ``WorkerSteps`` wrapper."""
     from repro.core import PrunedInferenceEngine
     from repro.models import TransformerLM
     from repro.serve import ServingEngine
     from repro.serve.procworkers import ProcessWorkerTier
     from repro.serve.scheduler import StepPlanner
 
-    if procs:
-        spans.wrap(ProcessWorkerTier, "step", "serve.step")
+    if workload.procs:
+        workers = WorkerSteps(workload.procs)
+        workers.install(spans.patches)
+        spans.wrap(ProcessWorkerTier, "step", "serve.step",
+                   workers.add_slowest)
         spans.wrap(ProcessWorkerTier, "open_stream", "ipc.submit")
         spans.wrap(ProcessWorkerTier, "finish", "ipc.finish")
         return
@@ -401,13 +447,15 @@ LAYER_OF = {
 
 
 def layer_split(spans: Spans, procs: bool) -> dict[str, float]:
-    """Self seconds per layer over the spans nested in ``serve.step``;
-    a fleet's step is all parent-side IPC (the work runs in workers)."""
+    """Self seconds per layer over the spans nested in ``serve.step``.
+    A fleet's step is the slowest worker's step plus parent-side IPC."""
+    if procs:
+        workers = spans.counts["ipc.worker_step"]
+        return {"workers": workers,
+                "ipc": spans.total["serve.step"] - workers}
     split: dict[str, float] = {}
     for name, own in spans.own.items():
         layer = LAYER_OF.get(name)
-        if procs and layer is not None:
-            layer = "ipc"
         if layer is not None:
             split[layer] = split.get(layer, 0.0) + own
     return split
@@ -420,15 +468,9 @@ def _stats_totals(core) -> tuple[int, int]:
             sum(s.preemptions for s in rows))
 
 
-def _worker_step_means(snapshot: dict) -> list[float]:
-    family = snapshot.get("repro_step_seconds", {"series": []})
-    return [row["value"]["sum"] / row["value"]["count"]
-            for row in family["series"] if row["value"]["count"]]
-
-
 def per_layer(phase: Phase, untraced_tok_s: float, admitted: int,
-              preemptions: int, pack: dict, worker_steps: list[float],
-              start_s: list[float]) -> dict:
+              preemptions: int, pack: dict, start_s: list[float]
+              ) -> dict:
     spans = phase.spans
     steps = max(spans.calls["serve.step"], 1)
 
@@ -438,8 +480,9 @@ def per_layer(phase: Phase, untraced_tok_s: float, admitted: int,
     decode_calls = spans.calls["models.decode"]
     lookups = sum(pack.values())
     waits = [o.queue_wait for o in phase.outcomes if o.served.ok]
-    rtt = per_step("serve.step") if start_s else 0.0
-    slowest = max(worker_steps, default=0.0) * 1e3
+    fleet = bool(start_s)
+    rtt = per_step("serve.step") if fleet else 0.0
+    slowest = spans.counts["ipc.worker_step"] * 1e3 / steps
     tok_s = throughput(phase.served, phase.seconds)
     return {
         **layers.forward_and_hardware(spans, steps),
@@ -464,10 +507,10 @@ def per_layer(phase: Phase, untraced_tok_s: float, admitted: int,
             (pack["hit"] + pack["extend"]) / lookups if lookups else 0.0),
         "ipc.step_rtt_ms": rtt,
         "ipc.worker_step_ms": slowest,
-        "ipc.overhead_ms": max(rtt - slowest, 0.0) if start_s else 0.0,
+        "ipc.overhead_ms": rtt - slowest if fleet else 0.0,
         "ipc.submit_ms": per_step("ipc.submit"),
         "ipc.finish_ms": per_step("ipc.finish"),
-        "ipc.start_s": median(start_s) if start_s else 0.0,
+        "ipc.start_s": median(start_s) if fleet else 0.0,
         "obs.traced_slowdown": (tok_s / untraced_tok_s
                                 if untraced_tok_s else 0.0),
     }
@@ -531,27 +574,24 @@ def run_serving(workload: ServingWorkload, seed: int, seconds: float,
     tallies = {"setup": Tally(), "serve": Tally(), "check": Tally()}
     report: dict = {"workload": workload, "tallies": tallies}
     requests = Requests(workload, seed)
-    cores = []
+    core = None
     try:
         setup_s, start_s, core, directory = timed_setups(
             workload, root, tallies["setup"])
-        cores.append(core)
         report["setup_s"] = setup_s
         loop = ClosedLoop(core, workload, requests, tallies["serve"])
         _warm_up(loop)
         report["phase"] = loop.run(seconds,
                                    rng=np.random.default_rng([seed, 7]))
         loop.drain()
-        if trace:
-            from repro.obs import MetricsRegistry
-            registry = MetricsRegistry()
-            cores.append(start_counted(workload, directory,
-                                       tallies["setup"], registry))
-            report.update(_traced(workload, cores[-1], registry,
-                                  requests, tallies["serve"], seconds,
-                                  seed, report["phase"], start_s))
         report["peak_rss_mb"] = peak_rss_mb(
             [p.pid for p in multiprocessing.active_children()])
+        close_core(core)
+        core = None
+        if trace:
+            report.update(_traced(workload, directory, requests, tallies,
+                                  seconds, seed, report["phase"],
+                                  start_s))
         report["mismatches"] = [
             line for key in ("phase", "traced") if key in report
             for line in check_solo(workload, directory, report[key].kept,
@@ -562,21 +602,27 @@ def run_serving(workload: ServingWorkload, seed: int, seconds: float,
         tallies["serve"].add(False, workload.clients)
         report["error"] = str(error)
     finally:
-        for core in cores:
+        if core is not None:
             close_core(core)
     return report
 
 
-def _traced(workload: ServingWorkload, core, registry,
-            requests: Requests, tally: Tally, seconds: float, seed: int,
+def _traced(workload: ServingWorkload, directory: str,
+            requests: Requests, tallies: dict, seconds: float, seed: int,
             untraced: Phase, start_s: list[float]) -> dict:
-    """The traced run: the same closed loop on an engine with the
-    program's registry, tracer and profiler on, and every layer's
-    entry points wrapped in spans."""
+    """The traced run: the same closed loop on a fresh engine (or
+    fleet) with the program's registry, tracer and profiler on, and
+    every layer's entry points wrapped in spans."""
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
     spans = Spans()
-    install_spans(spans, procs=bool(workload.procs))
+    install_spans(spans, workload)
+    core = None
     try:
-        loop = ClosedLoop(core, workload, requests, tally)
+        core = start_counted(workload, directory, tallies["setup"],
+                             registry)
+        loop = ClosedLoop(core, workload, requests, tallies["serve"])
         _warm_up(loop)
         spans.reset()
         stats, pack = _stats_totals(core), _pack_events(registry)
@@ -586,14 +632,14 @@ def _traced(workload: ServingWorkload, core, registry,
         loop.drain()
     finally:
         spans.restore()
+        if core is not None:
+            close_core(core)
     return {
         "traced": phase,
         "layers": per_layer(
             phase, throughput(untraced.served, untraced.seconds),
             stats_end[0] - stats[0], stats_end[1] - stats[1],
             {k: pack_end[k] - pack[k] for k in pack},
-            (_worker_step_means(registry.snapshot())
-             if workload.procs else []),
             start_s if workload.procs else []),
         "split": layer_split(phase.spans, bool(workload.procs)),
         "step_s": phase.spans.total.get("serve.step", 0.0),

@@ -177,22 +177,30 @@ def install_spans(spans: Spans) -> None:
 
 
 def check_oracle(deployed: list[Deployed], tally: Tally) -> list[str]:
-    """The default kernel backend's estimate of each deployed model
-    must equal the ``numpy-ref`` oracle's in every field but the
-    backend's name."""
+    """Each deployed model's estimate must equal the ``numpy-ref``
+    oracle's in every field but the backend's name: both the estimate
+    the pass made under the default kernel backend and one made under
+    the fused ``numpy-packed`` backend.  While the default is
+    ``numpy-ref`` the first comparison is an identity; the second is
+    the one that can fail."""
     from repro.hw import AE_LEOPARD
 
-    oracle = replace(AE_LEOPARD, kernel_backend="numpy-ref")
+    def under(backend):
+        return replace(AE_LEOPARD, kernel_backend=backend)
+
     mismatches = []
     for model in deployed:
-        reference = model.engine.estimate_from_records(model.records,
-                                                       oracle)
-        same = (replace(model.estimate, kernel_backend="numpy-ref")
-                == reference)
-        tally.add(same)
-        if not same:
-            mismatches.append(f"{model.name}: {model.estimate} vs "
-                              f"oracle {reference}")
+        oracle = model.engine.estimate_from_records(model.records,
+                                                    under("numpy-ref"))
+        fused = model.engine.estimate_from_records(model.records,
+                                                   under("numpy-packed"))
+        for label, estimate in (("default", model.estimate),
+                                ("numpy-packed", fused)):
+            same = replace(estimate, kernel_backend="numpy-ref") == oracle
+            tally.add(same)
+            if not same:
+                mismatches.append(f"{model.name} ({label}): {estimate} "
+                                  f"vs oracle {oracle}")
     return mismatches
 
 
