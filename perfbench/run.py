@@ -8,9 +8,10 @@ Run from the repository root.  A single-workload run prints a human
 report (every metric by name, with unit and sample count) and, as its
 last line, one JSON object: ``correct``, ``attempted``, ``failed`` and
 ``metrics`` — the end-to-end metrics with ``--trace 0``, the
-per-layer metrics with ``--trace 1``.  It exits 1 when an output check
-failed or any operation failed, and 2 when the program under test is
-missing.
+per-layer metrics with ``--trace 1``, every time and rate scaled to
+the nominal host's speed (``hostspeed.py``).  It exits 1 when an output
+check failed or any operation failed, and 2 when the program under
+test is missing.
 """
 
 from __future__ import annotations
@@ -22,6 +23,35 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ[_var] = "1"
+
+
+def fix_malloc() -> str:
+    """Fix glibc's mmap and trim thresholds, before numpy allocates.
+
+    By default glibc raises both as a process frees large blocks, so a
+    model's temporaries (a 128-token prefill's 512 KB score arrays)
+    are mapped and faulted in afresh on every call early in a process
+    and reuse heap memory later.  Serving speed then depends on the
+    process's history: fresh engines in one process served 1500 or
+    2250 tok/s on serve-long depending on how many came before.  Fixed
+    thresholds give every run the state a long-running process drifts
+    toward.  Returns what was set, for the provenance."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return "default (no glibc mallopt)"
+    mmap_threshold, trim_threshold = 32 << 20, 128 << 20
+    # M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1 in <malloc.h>
+    if mallopt(-3, mmap_threshold) != 1 or mallopt(-1, trim_threshold) != 1:
+        return "default (mallopt refused)"
+    return (f"mmap_threshold={mmap_threshold >> 20}MiB "
+            f"trim_threshold={trim_threshold >> 20}MiB")
+
+
+#: the allocator state every run measures under (workers fork it)
+MALLOC = fix_malloc()
 
 import argparse  # noqa: E402
 import json  # noqa: E402
@@ -36,7 +66,8 @@ SRC = ROOT / "src"
 SCRATCH = ROOT / ".perfbench_tmp"
 
 import selftest  # noqa: E402
-from measure import fail_frac, meets_slo  # noqa: E402
+from hostspeed import NOMINAL_S, scaled  # noqa: E402
+from measure import fail_frac, meets_slo, median, percentile  # noqa: E402
 
 #: the workloads, the metrics each run reports and the run length
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -83,6 +114,7 @@ def provenance() -> dict:
         "blas": blas,
         "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "kernel_backend": resolve_backend_name(None),
+        "malloc": MALLOC,
         "nproc": os.cpu_count(),
         "platform": platform.platform(),
     }
@@ -98,32 +130,39 @@ def _line(label: str, value: float, unit: str, note: str = "") -> str:
     return f"  {label:<24}{value:12.4f} {unit:<6}{note}"
 
 
+def _setup_line(setups) -> str:
+    seconds = setups.seconds
+    return _line("setup_s", median(seconds), "s",
+                 f"(median of {len(seconds)} setups; p10 "
+                 f"{percentile(seconds, 10):.4f}, p90 "
+                 f"{percentile(seconds, 90):.4f})")
+
+
 def report_serving(workload, report) -> dict:
     import serving
 
     e2e = serving.end_to_end(workload, report)
     phase = report["phase"]
-    q = serving.quantiles(phase)
+    q = serving.quantiles(workload, phase)
     ok = [o.served for o in phase.outcomes if o.served.ok]
-    met = sum(meets_slo(s, workload.ttft_limit_s, workload.tpot_limit_s)
-              for s in ok)
+    limits = serving.slo_limits(workload, report["clock"].scale)
+    met = sum(meets_slo(s, *limits) for s in ok)
     tokens = sum(s.new_tokens for s in ok)
     print("end to end (untraced, client-measured):")
-    print(_line("setup_s", e2e["setup_s"], "s",
-                f"(median of {len(report['setup_s'])} setups)"))
+    print(_setup_line(report["setups"]))
     print(_line("tok_s = throughput", e2e["throughput"], "tok/s",
                 f"({tokens} tokens of {len(ok)} ok requests in "
                 f"{phase.seconds:.2f} s, {phase.steps} steps)"))
     print(_line("goodput_tok_s", e2e["goodput"], "tok/s",
                 f"({met}/{len(phase.outcomes)} requests met TTFT <= "
-                f"{workload.ttft_limit_s * 1e3:g} ms and TPOT <= "
-                f"{workload.tpot_limit_s * 1e3:g} ms)"))
+                f"{limits[0] * 1e3:.1f} ms and TPOT <= "
+                f"{limits[1] * 1e3:.1f} ms here)"))
     print(_q("ttft_p50_ms", q["ttft_p50"]))
     print(_q("ttft_p90_ms", q["ttft_p90"]))
     print(_q("tpot_p50_ms", q["tpot_p50"]))
     print(_q("tbt_p50_ms", q["tbt_p50"],
              note="(raw gaps are multi-modal: see README)"))
-    print(_q("tbt_p98_ms = gap_tail", q["tbt_p98"]))
+    print(_q(f"tbt_p{workload.gap_tail:g}_ms = gap_tail", q["gap_tail"]))
     print(_q("tbt_p99_ms", q["tbt_p99"]))
     print(_line("peak_rss_mb", e2e["peak_rss_mb"], "MB",
                 "(with workers)" if workload.procs else ""))
@@ -177,16 +216,16 @@ def report_training(report) -> dict:
     measured = report["measured"]
     marks = measured.marks
     print("end to end (untraced):")
-    print(_line("setup_s", e2e["setup_s"], "s",
-                f"(median of {len(report['setup_s'])} setups)"))
+    print(_setup_line(report["setups"]))
     print(_line("train_ex_s = throughput", e2e["throughput"], "ex/s",
                 f"({marks.examples} examples, {measured.passes} passes "
                 f"in {measured.seconds:.2f} s)"))
     print(_q("forward latency p50", quantile(marks.latencies, 50)))
-    print(_q("forward latency p90",
+    print(_q(f"forward latency p{training.LATENCY_TAIL}",
              quantile(marks.latencies, training.LATENCY_TAIL)))
     print(_q("update gap p50", quantile(marks.gaps, 50)))
-    print(_q("update gap p90", quantile(marks.gaps, training.GAP_TAIL)))
+    print(_q(f"update gap p{training.GAP_TAIL}",
+             quantile(marks.gaps, training.GAP_TAIL)))
     print(_line("peak_rss_mb", e2e["peak_rss_mb"], "MB"))
     sim = training.simulated(measured.deployed)
     print(_line("sim_speedup", sim["sim_speedup"], "x",
@@ -258,13 +297,38 @@ def run_one(args) -> int:
         else:
             values = (report_layers_training(report) if args.trace
                       else report_training(report))
-        table = BENCHMARK["per_layer" if args.trace else "end_to_end"]
-        metrics = {m["name"]: {"value": float(values.get(m["name"], 0.0)),
-                               "unit": m["unit"]}
-                   for m in table}
+        metrics = at_nominal_speed(values, report,
+                                   "per_layer" if args.trace
+                                   else "end_to_end")
     print(json.dumps({"correct": correct, "attempted": attempted,
                       "failed": failed, "metrics": metrics}))
     return 0 if correct else 1
+
+
+#: metrics timed during set-up, scaled by the set-ups' own bursts
+SETUP_METRICS = ("setup_s", "ipc.start_s")
+
+
+def at_nominal_speed(values: dict, report: dict, table: str) -> dict:
+    """The metrics of ``BENCHMARK.json``'s ``table``, times and rates
+    scaled to the nominal host's speed; prints them and the host speed
+    the run sampled."""
+    clock, setups = report["clock"], report["setups"]
+    for label, bursts, scale in (("run", clock.bursts, clock.scale),
+                                 ("set-ups", setups.bursts, setups.scale)):
+        print(f"host speed over the {label}: mean burst "
+              f"{NOMINAL_S / scale * 1e3:.2f} ms, median "
+              f"{median(bursts) * 1e3:.2f} ms, n={len(bursts)} (nominal "
+              f"{NOMINAL_S * 1e3:.2f} ms): scale {scale:.4f}")
+    print(f"{table} at the nominal host's speed:")
+    metrics = {}
+    for metric in BENCHMARK[table]:
+        name, unit = metric["name"], metric["unit"]
+        scale = setups.scale if name in SETUP_METRICS else clock.scale
+        value = scaled(float(values.get(name, 0.0)), unit, scale)
+        print(_line(name, value, unit))
+        metrics[name] = {"value": value, "unit": unit}
+    return metrics
 
 
 def run_all(args) -> int:

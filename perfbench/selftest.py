@@ -3,6 +3,7 @@ benchmark run (``run.py --self-test`` runs only these)."""
 
 from __future__ import annotations
 
+from hostspeed import NOMINAL_S, Clock, scale_of, scaled
 from measure import (Served, Tally, beyond, fail_frac, gaps, geomean,
                      goodput, mean_gap, meets_slo, percentile,
                      step_end_times, tail_supported, throughput)
@@ -77,6 +78,24 @@ def _checks():
     yield "more failed than attempted raises", _raises(
         lambda: fail_frac(2, 3), ValueError)
     yield "geomean", abs(geomean([2.0, 8.0]) - 4.0) < 1e-12
+    # host speed: times scale with the host, rates against it
+    yield "nominal bursts scale by 1", scale_of([NOMINAL_S] * 3) == 1.0
+    yield "the scale uses the mean burst", scale_of(
+        [NOMINAL_S, 3 * NOMINAL_S]) == 0.5
+    yield "no bursts raises", _raises(lambda: scale_of([]), ValueError)
+    yield "times are multiplied by the scale", (
+        scaled(10.0, "ms", 0.5), scaled(2.0, "s", 0.5)) == (5.0, 1.0)
+    yield "rates are divided by the scale", (
+        scaled(10.0, "1/s", 0.5), scaled(10.0, "tok/s", 0.5)) == (20.0,
+                                                                  20.0)
+    yield "counts, ratios and sizes are not scaled", (
+        scaled(3.0, "count", 0.5), scaled(0.9, "ratio", 0.5),
+        scaled(50.0, "MB", 0.5)) == (3.0, 0.9, 50.0)
+    clock = Clock()
+    before = clock()
+    clock.sample()
+    yield "the clock stands still during a burst", (
+        clock() - before < clock.bursts[0] / 2)
 
 
 def run() -> tuple[list[str], int]:

@@ -6,12 +6,16 @@ client sends the next at once.  Clients outnumber decode slots, so a
 queue always forms and the engine runs saturated.
 
 Latency is measured from outside.  The load generator passes its own
-``perf_counter`` reading as ``now`` into every ``step()`` and keeps
+clock's reading as ``now`` into every ``step()`` and keeps
 when each call returned; a token is seen by its client when the step
 that produced it returns, so every engine token stamp (the step's
 ``now``) is mapped to that step's end.  The engine's own
 ``RequestTiming.ttft`` stops at the start of the producing step and so
 under-counts by one step; the report prints both.
+
+The clock is ``hostspeed.Clock``: between steps the load generator
+lets it sample the host's speed, off the clock, and the run's figures
+are scaled to the nominal host by that (README.md, "Host speed").
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from time import perf_counter
 import numpy as np
 
 import layers
+from hostspeed import Clock, Setups
 from measure import (Quantile, Served, Tally, gaps, goodput, mean_gap,
                      median, quantile, step_end_times, throughput)
 from spans import Patches, Spans
@@ -47,6 +52,7 @@ class ServingWorkload:
     ttft_limit_s: float            # goodput: first token within this
     tpot_limit_s: float            # goodput: mean gap within this
     procs: int = 0                 # >0: ProcessWorkerTier of N workers
+    gap_tail: float = 98           # gated gap percentile (README: why)
 
 
 SERVE_HW = ServingWorkload(
@@ -60,7 +66,8 @@ SERVE_LONG = ServingWorkload(
 FLEET_PROCS = ServingWorkload(
     name="fleet-procs", dim=32, num_layers=2, max_seq_len=32, slots=8,
     token_budget=64, hardware=False, clients=16, prompt_tokens=(1, 8),
-    new_tokens=(4, 12), ttft_limit_s=0.050, tpot_limit_s=0.010, procs=2)
+    new_tokens=(4, 12), ttft_limit_s=0.050, tpot_limit_s=0.010, procs=1,
+    gap_tail=90)
 WORKLOADS = {w.name: w for w in (SERVE_HW, SERVE_LONG, FLEET_PROCS)}
 
 #: setups per run; setup_s is their median
@@ -68,15 +75,12 @@ SETUPS = 21
 #: warm-up: at least this long and this many completions per client
 WARMUP_S = 1.0
 WARMUP_ROUNDS = 3
-#: the gated gap tail: p99 sits on the edge of the steps that finalise
-#: several streams' hardware estimates at once and jitters between
-#: seeds (README.md, "Findings"); p98 keeps hundreds of samples beyond
-GAP_TAIL = 98
 #: requests re-run alone after each measured phase
 CHECK_SAMPLE = 8
 #: step ends kept before the ones no request can refer to are dropped
 STEP_MEMORY = 4096
 TRACE_CHUNK = 512
+VOCAB = 64
 
 
 class Requests:
@@ -98,7 +102,7 @@ class Requests:
             self._queue.extend(TraceSpec(
                 seed=self._seed * 1_000_003 + self._chunk,
                 requests=TRACE_CHUNK, prompt_tokens=w.prompt_tokens,
-                new_tokens=w.new_tokens, vocab_size=64).generate())
+                new_tokens=w.new_tokens, vocab_size=VOCAB).generate())
             self._chunk += 1
         request = self._queue.popleft()
         return request.tokens, request.max_new_tokens
@@ -171,8 +175,9 @@ class ClosedLoop:
     collection."""
 
     def __init__(self, core, workload: ServingWorkload,
-                 requests: Requests, tally: Tally):
+                 requests: Requests, tally: Tally, clock: Clock):
         self.core = core
+        self.clock = clock
         self.workload = workload
         self.requests = requests
         self.tally = tally
@@ -180,9 +185,8 @@ class ClosedLoop:
         self.step_ends: dict[float, float] = {}
         self.sending = True
 
-    def _send(self) -> None:
-        prompt, max_new = self.requests.next()
-        sent = perf_counter()
+    def _send(self, prompt: np.ndarray, max_new: int) -> None:
+        sent = self.clock()
         request_id = self.core.open_stream(prompt, max_new, now=sent)
         self.in_flight[request_id] = (prompt, max_new, sent)
 
@@ -227,14 +231,16 @@ class ClosedLoop:
 
     def step(self) -> tuple[float, list]:
         """One ``step()`` call; returns when it ended and what completed
-        (``_complete`` triples)."""
+        (``_complete`` triples).  The host's speed is sampled before it
+        when due."""
+        self.clock.tick()
         if len(self.step_ends) > STEP_MEMORY and self.in_flight:
             self._forget_old_steps()
         while self.sending and len(self.in_flight) < self.workload.clients:
-            self._send()
-        start = perf_counter()
+            self._send(*self.requests.next())
+        start = self.clock()
         completed = self.core.step(now=start)
-        end = perf_counter()
+        end = self.clock()
         self.step_ends[start] = end
         return end, [self._complete(rid) for rid in completed]
 
@@ -245,7 +251,7 @@ class ClosedLoop:
         the solo check."""
         from repro.serve.hardware import HardwareTotals
 
-        begin = perf_counter()
+        begin = self.clock()
         phase = Phase(hardware=HardwareTotals(), rng=rng)
         end = begin
         while end - begin < seconds or len(phase.outcomes) < min_outcomes:
@@ -255,6 +261,18 @@ class ClosedLoop:
                 phase.record(*completed)
         phase.seconds = end - begin
         return phase
+
+    def fill(self, rng: np.random.Generator) -> None:
+        """Send one request per client at the shortest prompt and the
+        longest generation, then drain.  The engine prefills the
+        largest batch its token budget allows, so lazily sized buffers
+        and temporaries reach full size whatever the seed's requests
+        happen to batch into later."""
+        w = self.workload
+        for _ in range(w.clients):
+            self._send(rng.integers(0, VOCAB, size=w.prompt_tokens[0]),
+                       w.new_tokens[1])
+        self.drain()
 
     def drain(self) -> None:
         """Stop sending and step until every request has completed."""
@@ -270,10 +288,9 @@ def _policy(workload: ServingWorkload):
     return BatchPolicy(max_batch_size=workload.slots, max_wait=0.0)
 
 
-def _engine_kwargs(workload: ServingWorkload) -> dict:
+def _engine_kwargs(workload: ServingWorkload, clock=perf_counter) -> dict:
     return dict(estimate_hardware=workload.hardware, continuous=True,
-                step_token_budget=workload.token_budget,
-                clock=perf_counter)
+                step_token_budget=workload.token_budget, clock=clock)
 
 
 def save_snapshot(workload: ServingWorkload, directory: str) -> None:
@@ -283,11 +300,12 @@ def save_snapshot(workload: ServingWorkload, directory: str) -> None:
                     num_layers=workload.num_layers).save(directory)
 
 
-def start_core(workload: ServingWorkload, directory: str,
+def start_core(workload: ServingWorkload, directory: str, clock: Clock,
                registry=None):
-    """The engine (or fleet) under test over a saved snapshot.  Given a
-    ``registry``, the program's own registry, tracer and kernel
-    profiler are enabled too, as a traced run has them."""
+    """The engine (or fleet) under test over a saved snapshot, on
+    ``clock``.  Given a ``registry``, the program's own registry,
+    tracer and kernel profiler are enabled too, as a traced run has
+    them."""
     from repro.core import PrunedInferenceEngine
     from repro.obs import KernelProfiler, TraceRecorder
     from repro.serve import ServingEngine
@@ -302,12 +320,12 @@ def start_core(workload: ServingWorkload, directory: str,
         return ProcessWorkerTier.from_snapshot(
             directory, replicas=workload.procs, policy=_policy(workload),
             mmap=False, registry=registry, tracer=tracer,
-            **_engine_kwargs(workload))
+            **_engine_kwargs(workload, clock))
     core = PrunedInferenceEngine.from_directory(directory)
     return ServingEngine(
         core, _policy(workload), registry=registry, tracer=tracer,
         profiler=KernelProfiler(registry) if traced else None,
-        **_engine_kwargs(workload))
+        **_engine_kwargs(workload, clock))
 
 
 def close_core(core) -> None:
@@ -321,35 +339,37 @@ class SetupFailed(RuntimeError):
 
 
 def timed_setups(workload: ServingWorkload, root: str, tally: Tally,
-                 count: int = SETUPS):
+                 clock: Clock, count: int = SETUPS):
     """Build, save, load and start ``count`` times from fresh
-    snapshots; returns (setup seconds each, start seconds each, the
+    snapshots; returns (the timed set-ups, start seconds each, the
     last core and its snapshot directory).  A start that fails is not
     retried: it ends the run."""
-    setup_s: list[float] = []
+    setups = Setups()
     start_s: list[float] = []
     core = directory = None
+
+    def setup():
+        save_snapshot(workload, directory)
+        started = perf_counter()
+        started_core = start_counted(workload, directory, tally, clock)
+        start_s.append(perf_counter() - started)
+        return started_core
+
     for _ in range(count):
         if core is not None:
             close_core(core)
             core = None
         directory = tempfile.mkdtemp(dir=root)
-        begin = perf_counter()
-        save_snapshot(workload, directory)
-        started = perf_counter()
-        core = start_counted(workload, directory, tally)
-        end = perf_counter()
-        setup_s.append(end - begin)
-        start_s.append(end - started)
-    return setup_s, start_s, core, directory
+        core = setups.time(setup)
+    return setups, start_s, core, directory
 
 
 def start_counted(workload: ServingWorkload, directory: str,
-                  tally: Tally, registry=None):
+                  tally: Tally, clock: Clock, registry=None):
     """``start_core`` counted as one setup operation; a failed start
     raises ``SetupFailed`` and is not retried."""
     try:
-        core = start_core(workload, directory, registry)
+        core = start_core(workload, directory, clock, registry)
     except Exception as error:           # noqa: BLE001 — reported
         tally.add(False)
         raise SetupFailed(f"{workload.name}: start failed: "
@@ -560,9 +580,11 @@ def peak_rss_mb(children: list[int]) -> float:
     return peak_kb / 1024.0
 
 
-def _warm_up(loop: ClosedLoop) -> None:
-    """Run the closed loop untimed until the lazy KV slot buffer and the
-    pack cache have filled."""
+def _warm_up(loop: ClosedLoop, seed: int) -> None:
+    """Fill the engine with its largest batch, then run the closed loop
+    untimed until the lazy KV slot buffer and the pack cache have
+    filled."""
+    loop.fill(np.random.default_rng([seed, 9]))
     loop.run(WARMUP_S, min_outcomes=WARMUP_ROUNDS * loop.workload.clients)
 
 
@@ -572,15 +594,18 @@ def run_serving(workload: ServingWorkload, seed: int, seconds: float,
     check a sample of each measured phase's outputs.  Returns the raw
     report."""
     tallies = {"setup": Tally(), "serve": Tally(), "check": Tally()}
-    report: dict = {"workload": workload, "tallies": tallies}
+    clock = Clock()
+    report: dict = {"workload": workload, "tallies": tallies,
+                    "clock": clock}
     requests = Requests(workload, seed)
     core = None
     try:
-        setup_s, start_s, core, directory = timed_setups(
-            workload, root, tallies["setup"])
-        report["setup_s"] = setup_s
-        loop = ClosedLoop(core, workload, requests, tallies["serve"])
-        _warm_up(loop)
+        setups, start_s, core, directory = timed_setups(
+            workload, root, tallies["setup"], clock)
+        report["setups"] = setups
+        loop = ClosedLoop(core, workload, requests, tallies["serve"],
+                          clock)
+        _warm_up(loop, seed)
         report["phase"] = loop.run(seconds,
                                    rng=np.random.default_rng([seed, 7]))
         loop.drain()
@@ -590,7 +615,7 @@ def run_serving(workload: ServingWorkload, seed: int, seconds: float,
         core = None
         if trace:
             report.update(_traced(workload, directory, requests, tallies,
-                                  seconds, seed, report["phase"],
+                                  clock, seconds, seed, report["phase"],
                                   start_s))
         report["mismatches"] = [
             line for key in ("phase", "traced") if key in report
@@ -608,22 +633,24 @@ def run_serving(workload: ServingWorkload, seed: int, seconds: float,
 
 
 def _traced(workload: ServingWorkload, directory: str,
-            requests: Requests, tallies: dict, seconds: float, seed: int,
-            untraced: Phase, start_s: list[float]) -> dict:
+            requests: Requests, tallies: dict, clock: Clock,
+            seconds: float, seed: int, untraced: Phase,
+            start_s: list[float]) -> dict:
     """The traced run: the same closed loop on a fresh engine (or
     fleet) with the program's registry, tracer and profiler on, and
     every layer's entry points wrapped in spans."""
     from repro.obs import MetricsRegistry
 
     registry = MetricsRegistry()
-    spans = Spans()
+    spans = Spans(clock)
     install_spans(spans, workload)
     core = None
     try:
-        core = start_counted(workload, directory, tallies["setup"],
+        core = start_counted(workload, directory, tallies["setup"], clock,
                              registry)
-        loop = ClosedLoop(core, workload, requests, tallies["serve"])
-        _warm_up(loop)
+        loop = ClosedLoop(core, workload, requests, tallies["serve"],
+                          clock)
+        _warm_up(loop, seed)
         spans.reset()
         stats, pack = _stats_totals(core), _pack_events(registry)
         phase = loop.run(seconds, rng=np.random.default_rng([seed, 8]))
@@ -655,7 +682,8 @@ def _pack_events(registry) -> dict:
     return events
 
 
-def quantiles(phase: Phase) -> dict[str, Quantile]:
+def quantiles(workload: ServingWorkload, phase: Phase
+              ) -> dict[str, Quantile]:
     """Client-side TTFT and TBT quantiles over the measured window,
     plus the engine's own TTFT for comparison."""
     ok = [o for o in phase.outcomes if o.served.ok]
@@ -665,7 +693,8 @@ def quantiles(phase: Phase) -> dict[str, Quantile]:
     engine = [o.engine_ttft for o in ok]
     return {
         "ttft_p50": quantile(ttfts, 50), "ttft_p90": quantile(ttfts, 90),
-        "tbt_p50": quantile(tbts, 50), "tbt_p98": quantile(tbts, GAP_TAIL),
+        "tbt_p50": quantile(tbts, 50),
+        "gap_tail": quantile(tbts, workload.gap_tail),
         "tbt_p99": quantile(tbts, 99),
         "tpot_p50": quantile(tpots, 50),
         "engine_ttft_p50": quantile(engine, 50),
@@ -682,17 +711,27 @@ def sim_totals(phase: Phase) -> tuple[float, float] | None:
             phase.hardware.energy_reduction)
 
 
+def slo_limits(workload: ServingWorkload, scale: float
+               ) -> tuple[float, float]:
+    """The TTFT and TPOT limits in this run's measured seconds: a
+    request meets them when its latencies, at the nominal host's speed,
+    meet the workload's limits."""
+    return workload.ttft_limit_s / scale, workload.tpot_limit_s / scale
+
+
 def end_to_end(workload: ServingWorkload, report: dict) -> dict:
+    """The end-to-end metrics as measured, before scaling to the
+    nominal host."""
     phase = report["phase"]
-    q = quantiles(phase)
+    q = quantiles(workload, phase)
     return {
-        "setup_s": median(report["setup_s"]),
+        "setup_s": median(report["setups"].seconds),
         "throughput": throughput(phase.served, phase.seconds),
         "goodput": goodput(phase.served, phase.seconds,
-                           workload.ttft_limit_s, workload.tpot_limit_s),
+                           *slo_limits(workload, report["clock"].scale)),
         "latency_p50_ms": q["ttft_p50"].value * 1e3,
         "latency_tail_ms": q["ttft_p90"].value * 1e3,
         "tpot_p50_ms": q["tpot_p50"].value * 1e3,
-        "gap_tail_ms": q["tbt_p98"].value * 1e3,
+        "gap_tail_ms": q["gap_tail"].value * 1e3,
         "peak_rss_mb": report["peak_rss_mb"],
     }

@@ -2,10 +2,10 @@
 
 The traced run wraps functions and methods of each layer from here,
 the benchmark's own files, so the program itself stays untouched.  A
-span records its wall duration and its self time: the duration minus
-the part covered by spans nested inside it.  All work runs on the
-load generator's single thread, so one stack of child-time
-accumulators is enough.
+span records its duration on the run's clock and its self time: the
+duration minus the part covered by spans nested inside it.  All work
+runs on the load generator's single thread, so one stack of
+child-time accumulators is enough.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class Spans:
     """Per-name totals of duration, self time and calls, plus named
     counts that hooks add from a call's arguments and result."""
 
-    def __init__(self):
+    def __init__(self, clock=perf_counter):
+        self.clock = clock
         self.patches = Patches()
         self._stack: list[float] = []
         self.reset()
@@ -60,17 +61,18 @@ class Spans:
         ``hook(spans, args, kwargs, result)`` runs after the call, off
         the span's clock, to add counts."""
         stack = self._stack
+        clock = self.clock
 
         def make(original):
             def wrapper(*args, **kwargs):
                 stack.append(0.0)
-                start = perf_counter()
+                start = clock()
                 result = None
                 try:
                     result = original(*args, **kwargs)
                     return result
                 finally:
-                    elapsed = perf_counter() - start
+                    elapsed = clock() - start
                     child = stack.pop()
                     self.total[name] += elapsed
                     self.own[name] += elapsed - child

@@ -9,27 +9,30 @@ the run's seconds are spent, so every run does the same mix of work.
 Measured from outside the training loop: latency is one forward to
 the loss (the ``loss`` call), and the gap is the interval between
 consecutive optimizer updates of one training phase (forward,
-backward, clipping and the update).
+backward, clipping and the update).  Every time is read from the run's
+``hostspeed.Clock``, which samples the host's speed, off the clock,
+before a forward or after an update when due.
 """
 
 from __future__ import annotations
 
 import resource
 from dataclasses import dataclass, field, replace
-from time import perf_counter
 
 import layers
+from hostspeed import Clock, Setups
 from measure import Tally, geomean, median, quantile
 from spans import Patches, Spans
 
 SPECS = ("bert_base_glue/G-SST", "gpt2_wikitext/WikiText-2",
          "vit_cifar/CIFAR-10")
 SETUPS = 15
-#: tail percentiles.  Per-step times carry a long right tail of pauses
-#: (p98 of update gaps read a 0.23 spread across passes, p90 0.09), so
-#: both tails are p90, which a single ~410-update pass supports
-LATENCY_TAIL = 90
-GAP_TAIL = 90
+#: tail percentiles.  The three models' step times form separate
+#: modes, and p80-p90 sit on the edge between the two slowest, so they
+#: jump between runs (IQR/median 0.10 over five seeds, p95 0.03-0.05).
+#: A 20 s run makes about 1250 updates, so p95 has 60 samples beyond
+LATENCY_TAIL = 95
+GAP_TAIL = 95
 
 
 def seeded_specs(seed: int) -> list:
@@ -41,6 +44,7 @@ def seeded_specs(seed: int) -> list:
 class StepMarks:
     """Optimizer-step timestamps taken from outside the loop."""
 
+    clock: Clock
     examples: int = 0
     latencies: list[float] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
@@ -53,9 +57,10 @@ class StepMarks:
 
         def on_loss(original):
             def wrapper(model, batch):
-                start = perf_counter()
+                self.clock.tick()
+                start = self.clock()
                 loss = original(model, batch)
-                self.latencies.append(perf_counter() - start)
+                self.latencies.append(self.clock() - start)
                 self.examples += len(batch)
                 return loss
             return wrapper
@@ -63,7 +68,8 @@ class StepMarks:
         def on_update(original):
             def wrapper(optimizer):
                 original(optimizer)
-                now = perf_counter()
+                self.clock.tick()
+                now = self.clock()
                 if self._last_update is not None:
                     self.gaps.append(now - self._last_update)
                 self._last_update = now
@@ -99,14 +105,14 @@ class Deployed:
     seconds: float
 
 
-def one_pass(specs) -> list[Deployed]:
+def one_pass(specs, clock: Clock) -> list[Deployed]:
     import repro.eval.runner as runner
     from repro.core import PrunedInferenceEngine
     from repro.eval.workloads import QUICK
 
     deployed = []
     for spec in specs:
-        begin = perf_counter()
+        begin = clock()
         # looked up on the module so the step marks see the call
         result = runner.run_workload(spec, QUICK)
         engine = PrunedInferenceEngine(result.model, result.controller)
@@ -115,7 +121,7 @@ def one_pass(specs) -> list[Deployed]:
             name=spec.name, metric=spec.metric,
             metric_delta=result.metric_delta, records=result.records,
             engine=engine, estimate=estimate,
-            seconds=perf_counter() - begin))
+            seconds=clock() - begin))
     return deployed
 
 
@@ -128,20 +134,20 @@ class Passes:
     spans: Spans | None = None
 
 
-def run_passes(specs, seconds: float, spans: Spans | None = None
-               ) -> Passes:
-    marks = StepMarks()
+def run_passes(specs, seconds: float, clock: Clock,
+               spans: Spans | None = None) -> Passes:
+    marks = StepMarks(clock)
     with Patches() as patches:
         marks.install(patches)
         if spans is not None:
             install_spans(spans)
         try:
-            begin = perf_counter()
+            begin = clock()
             count = 0
             while True:
-                deployed = one_pass(specs)
+                deployed = one_pass(specs, clock)
                 count += 1
-                elapsed = perf_counter() - begin
+                elapsed = clock() - begin
                 if elapsed >= seconds:
                     break
         finally:
@@ -204,17 +210,18 @@ def check_oracle(deployed: list[Deployed], tally: Tally) -> list[str]:
     return mismatches
 
 
-def timed_setups(specs, count: int = SETUPS) -> list[float]:
+def timed_setups(specs, count: int = SETUPS) -> Setups:
     """Data and model construction for every spec, ``count`` times."""
     from repro.eval.workloads import QUICK
 
-    times = []
-    for _ in range(count):
-        begin = perf_counter()
+    def setup():
         for spec in specs:
             spec.make_model(spec.make_data(QUICK))
-        times.append(perf_counter() - begin)
-    return times
+
+    setups = Setups()
+    for _ in range(count):
+        setups.time(setup)
+    return setups
 
 
 def warm_up(specs) -> None:
@@ -232,16 +239,18 @@ def warm_up(specs) -> None:
 
 def run_training(seed: int, seconds: float, trace: bool) -> dict:
     tallies = {"setup": Tally(), "train": Tally(), "check": Tally()}
+    clock = Clock()
     specs = seeded_specs(seed)
-    setup_s = timed_setups(specs)
-    tallies["setup"].add(True, len(setup_s))
+    setups = timed_setups(specs)
+    tallies["setup"].add(True, len(setups.seconds))
     warm_up(specs)
-    measured = run_passes(specs, seconds)
+    measured = run_passes(specs, seconds, clock)
     tallies["train"].add(True, measured.passes * len(specs))
-    report = {"tallies": tallies, "setup_s": setup_s,
-              "measured": measured}
+    report = {"tallies": tallies, "setups": setups,
+              "measured": measured, "clock": clock}
     if trace:
-        report["traced"] = run_passes(specs, seconds, spans=Spans())
+        report["traced"] = run_passes(specs, seconds, clock,
+                                      spans=Spans(clock))
         tallies["train"].add(True, report["traced"].passes * len(specs))
     report["peak_rss_mb"] = (
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
@@ -260,7 +269,7 @@ def end_to_end(report: dict) -> dict:
     marks = measured.marks
     rate = throughput(measured)
     return {
-        "setup_s": median(report["setup_s"]),
+        "setup_s": median(report["setups"].seconds),
         "throughput": rate,
         # training has no latency limit: every example counts
         "goodput": rate,
