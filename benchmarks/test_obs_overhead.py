@@ -97,7 +97,7 @@ def _replay(snapshot, registry=None, tracer=None):
     tier = WorkerTier.from_snapshot(
         snapshot, replicas=2,
         policy=BatchPolicy(max_batch_size=4, max_wait=0.0),
-        clock=clock, continuous=True, step_token_budget=32,
+        clock=clock, step_token_budget=32,
         registry=registry, tracer=tracer)
     trace = TraceSpec(seed=7, requests=REQUESTS, process="bursty")
     return replay_trace(tier, trace, clock=clock)

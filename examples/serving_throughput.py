@@ -1,17 +1,13 @@
-"""Serving throughput: both schedulers vs the serial baseline.
+"""Serving throughput: batched serving vs the serial baseline.
 
 Two traffic shapes, both driven by N concurrent synthetic clients:
 
 * ``--mode generate`` (default): each client opens an autoregressive
-  generation stream; the serving engine coalesces every decode step
-  across streams with per-stream KV caches, under **both** stream
-  schedulers — round-based (prefill everything, decode all live
-  streams in chunks) and continuous (admit into free decode slots,
-  one full slot batch per step).  ``--stagger K`` spreads arrivals
-  one stream every K engine steps — the mixed-arrival regime where
-  round-based chunking leaves decode batches partially filled and
-  continuous batching pays off.  The serial baseline runs
-  ``model.generate`` one stream at a time.
+  generation stream; the continuous scheduler admits streams into
+  free decode slots and runs one slot batch per step.  ``--stagger K``
+  spreads arrivals one stream every K engine steps (mixed arrivals,
+  the slot pool refilling as streams finish).  The serial baseline
+  runs ``model.generate`` one stream at a time.
 * ``--mode classify``: each client awaits one-shot classification
   requests through the asyncio front end; the dynamic batcher
   coalesces across clients into fixed-width padded batches.  The
@@ -83,10 +79,8 @@ def run_generate(args) -> dict:
                     for r in trace_requests]
     else:
         # heterogeneous requests — mixed prompt lengths *and* generation
-        # budgets, like real traffic: streams finish at different times,
-        # which is exactly when round-based chunking leaves decode
-        # batches partially filled and the continuous slot pool stays
-        # full
+        # budgets, like real traffic: streams finish at different times
+        # and freed slots are refilled from the waiting queue
         requests = [
             (rng.integers(1, VOCAB, size=int(n)),
              int(rng.integers(max(2, new_tokens // 2), new_tokens + 1)))
@@ -100,28 +94,20 @@ def run_generate(args) -> dict:
 
     max_batch = args.max_batch_size or min(args.streams, 16)
 
-    def make_serving(continuous: bool) -> ServingEngine:
-        return ServingEngine(
-            engine,
-            BatchPolicy(max_batch_size=max_batch,
-                        max_wait=args.max_wait, pad_to=prompt_max),
-            continuous=continuous, preempt_after=args.preempt_after)
-
-    def drive(serving) -> float:
-        if trace_requests is not None:
-            return replay_trace(serving, trace_requests,
-                                clock=time.monotonic).duration
-        return drive_streams(serving, requests, args.stagger)
-
-    round_serving = make_serving(False)
-    round_elapsed = drive(round_serving)
-    cont_serving = make_serving(True)
-    cont_elapsed = drive(cont_serving)
+    serving = ServingEngine(
+        engine,
+        BatchPolicy(max_batch_size=max_batch,
+                    max_wait=args.max_wait, pad_to=prompt_max),
+        preempt_after=args.preempt_after)
+    if trace_requests is not None:
+        elapsed = replay_trace(serving, trace_requests,
+                               clock=time.monotonic).duration
+    else:
+        elapsed = drive_streams(serving, requests, args.stagger)
 
     tokens = sum(n for _, n in requests)
     serial_tps = tokens / serial_elapsed
-    round_tps = tokens / round_elapsed
-    cont_tps = tokens / cont_elapsed
+    batched_tps = tokens / elapsed
     if args.trace:
         arrivals = f"{args.trace} trace @ {args.trace_rate:g} req/s"
     elif args.stagger:
@@ -133,21 +119,13 @@ def run_generate(args) -> dict:
           f"{max_batch} decode slots)")
     print(f"serial baseline : {args.streams / serial_elapsed:8.1f} req/s "
           f"({serial_tps:8.1f} tok/s, one stream at a time)")
-    print(f"round-based     : {args.streams / round_elapsed:8.1f} req/s "
-          f"({round_tps:8.1f} tok/s, {round_serving.stats.decode_rounds} "
+    print(f"batched serving : {args.streams / elapsed:8.1f} req/s "
+          f"({batched_tps:8.1f} tok/s, {serving.stats.decode_rounds} "
           f"decode forwards, mean batch "
-          f"{round_serving.stats.mean_batch_size:.1f})")
-    print(f"continuous      : {args.streams / cont_elapsed:8.1f} req/s "
-          f"({cont_tps:8.1f} tok/s, {cont_serving.stats.decode_rounds} "
-          f"decode forwards, mean batch "
-          f"{cont_serving.stats.mean_batch_size:.1f}, "
-          f"{cont_serving.stats.preemptions} preemptions)")
-    print(f"speedup         : {round_tps / serial_tps:8.2f}x round-based, "
-          f"{cont_tps / serial_tps:8.2f}x continuous "
-          f"(continuous/round: {cont_tps / round_tps:.2f}x)")
-    return {"batched": round_tps / serial_tps,
-            "continuous": cont_tps / serial_tps,
-            "continuous_vs_round": cont_tps / round_tps}
+          f"{serving.stats.mean_batch_size:.1f}, "
+          f"{serving.stats.preemptions} preemptions)")
+    print(f"speedup         : {batched_tps / serial_tps:8.2f}x")
+    return {"batched": batched_tps / serial_tps}
 
 
 # -- one-shot classification traffic -------------------------------------
@@ -233,8 +211,8 @@ def main(argv=None) -> int:
                         help="calm-state arrival rate for --trace "
                              "(bursty traces burst at 10x)")
     parser.add_argument("--preempt-after", type=int, default=None,
-                        help="generate mode: continuous-scheduler "
-                             "preemption time slice")
+                        help="generate mode: scheduler preemption "
+                             "time slice")
     parser.add_argument("--buckets", default="none",
                         help="classify mode: comma-separated pad-width "
                              "ladder, 'auto' to tune from the observed "
@@ -245,10 +223,6 @@ def main(argv=None) -> int:
                         help="exit non-zero unless batched >= "
                              "--min-speedup x serial")
     parser.add_argument("--min-speedup", type=float, default=1.0)
-    parser.add_argument("--check-continuous", action="store_true",
-                        help="generate mode: also require continuous "
-                             ">= --min-continuous-ratio x round-based")
-    parser.add_argument("--min-continuous-ratio", type=float, default=1.0)
     args = parser.parse_args(argv)
 
     speedups = (run_generate(args) if args.mode == "generate"
@@ -260,19 +234,11 @@ def main(argv=None) -> int:
                           "stagger": args.stagger, "quick": args.quick,
                           "buckets": args.buckets})
 
-    failed = False
     if args.check and speedups["batched"] < args.min_speedup:
         print(f"FAIL: batched speedup {speedups['batched']:.2f}x below "
               f"required {args.min_speedup:.2f}x", file=sys.stderr)
-        failed = True
-    if args.check_continuous:
-        ratio = speedups.get("continuous_vs_round", 0.0)
-        if ratio < args.min_continuous_ratio:
-            print(f"FAIL: continuous/round-based ratio {ratio:.2f}x "
-                  f"below required {args.min_continuous_ratio:.2f}x",
-                  file=sys.stderr)
-            failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

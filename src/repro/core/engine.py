@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -20,36 +21,35 @@ _MMAP_CACHE: dict = {}
 
 def _npz_stamp(npz_path: str) -> list:
     """Freshness stamp of the weights archive: (mtime_ns, size).  The
-    sidecar manifest records it so a re-saved snapshot invalidates any
-    previously expanded ``weights_mmap/`` directory."""
+    sidecar directory is keyed by it, so a re-saved snapshot maps a
+    freshly expanded sidecar, never a previous one."""
     stat = os.stat(npz_path)
     return [stat.st_mtime_ns, stat.st_size]
 
 
 def ensure_mmap_weights(directory: str) -> str:
-    """Expand ``weights.npz`` into a ``weights_mmap/`` sidecar of raw
-    per-array ``.npy`` files and return its path.
+    """Expand ``weights.npz`` into a sidecar of raw per-array ``.npy``
+    files and return its path.
 
     ``np.load(..., mmap_mode="r")`` silently ignores the mmap request
     for ``.npz`` archives (zip members are not page-alignable), so real
     zero-copy loading needs each array as its own ``.npy`` file.  The
-    expansion is done once per snapshot: a ``manifest.json`` records
-    the npz stamp, and a stale or missing sidecar is rebuilt in a temp
-    directory and published with an atomic rename, so concurrent
-    openers (N worker processes booting at once) never observe a
-    half-written file — the loser of the race just keeps the winner's
-    sidecar."""
+    expansion is done once per snapshot, into a directory keyed by the
+    npz stamp (``weights_mmap/<mtime_ns>-<size>/``).  A missing sidecar
+    is built in a private temp directory and published with an atomic
+    rename, so concurrent openers (N worker processes booting at once)
+    never observe a half-written file.  A published sidecar is
+    immutable and never deleted while its stamp is current: the loser
+    of a publish race discards only its own temp directory, and only
+    sidecars of older stamps are cleaned up."""
     npz = os.path.join(directory, "weights.npz")
-    sidecar = os.path.join(directory, "weights_mmap")
-    manifest_path = os.path.join(sidecar, "manifest.json")
+    root = os.path.join(directory, "weights_mmap")
     stamp = _npz_stamp(npz)
-    try:
-        with open(manifest_path) as fh:
-            if json.load(fh).get("stamp") == stamp:
-                return sidecar
-    except (OSError, ValueError):
-        pass
-    tmp = f"{sidecar}.tmp.{os.getpid()}"
+    key = "-".join(str(part) for part in stamp)
+    sidecar = os.path.join(root, key)
+    if os.path.isfile(os.path.join(sidecar, "manifest.json")):
+        return sidecar
+    tmp = os.path.join(root, f"{key}.tmp.{os.getpid()}")
     os.makedirs(tmp, exist_ok=True)
     arrays = {}
     with np.load(npz) as state:
@@ -59,13 +59,23 @@ def ensure_mmap_weights(directory: str) -> str:
             arrays[name] = filename
     with open(os.path.join(tmp, "manifest.json"), "w") as fh:
         json.dump({"stamp": stamp, "arrays": arrays}, fh)
-    if os.path.isdir(sidecar):              # stale: replace wholesale
-        shutil.rmtree(sidecar, ignore_errors=True)
     try:
         os.rename(tmp, sidecar)
     except OSError:
         # a concurrent expander published first; trust its sidecar
         shutil.rmtree(tmp, ignore_errors=True)
+        return sidecar
+    # drop what older snapshots left behind; temp directories of this
+    # stamp may belong to live racers, so they stay
+    for entry in os.listdir(root):
+        if entry.partition(".tmp.")[0] == key:
+            continue
+        path = os.path.join(root, entry)
+        if os.path.isdir(path):
+            shutil.rmtree(path, ignore_errors=True)
+        else:
+            with contextlib.suppress(OSError):
+                os.remove(path)
     return sidecar
 
 

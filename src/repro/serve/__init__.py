@@ -1,8 +1,8 @@
-"""Batched serving: async request queue + dynamic batcher with
-per-stream KV caches in front of ``PrunedInferenceEngine``; stream
-scheduling is round-based or continuous (``continuous=True``),
-``ModelRouter`` fronts several engines behind one queue discipline
-with health-checked routing, ``WorkerTier`` scales one model across
+"""Batched serving: async request queue + dynamic batcher in front of
+``PrunedInferenceEngine``; generation streams run under one continuous
+scheduler (``StepPlanner`` admitting into ``KVSlotBuffer`` decode
+slots), ``ModelRouter`` fronts several engines behind one queue
+discipline with health-checked routing, ``WorkerTier`` scales one model across
 shared-nothing engine replicas (``ProcessWorkerTier`` puts each
 replica in its own OS process over a binary socket protocol, sharing
 one memory-mapped snapshot), and the reliability layer adds
@@ -25,8 +25,7 @@ from .procworkers import ProcessWorkerTier, WorkerDied
 from .router import (EngineQuarantined, ModelRouter, UnknownModelError)
 from .scheduler import SchedulerConfig, SLOAdmission, StepPlan, \
     StepPlanner
-from .streams import KVSlotBuffer, StreamState, stack_caches, \
-    unstack_caches
+from .streams import KVSlotBuffer, StreamState
 from .workers import WorkerTier
 
 __all__ = ["AsyncServingEngine", "BatchPolicy", "CoalescedBatch",
@@ -34,8 +33,7 @@ __all__ = ["AsyncServingEngine", "BatchPolicy", "CoalescedBatch",
            "ServeResult",
            "ServingEngine", "ServingStats", "HardwareTotals",
            "slice_record", "ModelRouter", "SchedulerConfig", "StepPlan",
-           "StepPlanner", "KVSlotBuffer", "StreamState", "stack_caches",
-           "unstack_caches",
+           "StepPlanner", "KVSlotBuffer", "StreamState",
            # reliability layer
            "DeadlineExceeded", "RequestCancelled", "ShedOverload",
            "REASON_OK", "REASON_DEADLINE", "REASON_CANCELLED",

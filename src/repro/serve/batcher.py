@@ -283,8 +283,7 @@ class DynamicBatcher:
     starved by later arrivals.
 
     Generation streams wait in a separate FIFO admission queue that the
-    scheduler drains explicitly: the round-based loop pops everything
-    each step, while the continuous planner pops exactly as many
+    scheduler drains explicitly: the step planner pops exactly as many
     streams as it has free decode slots (``pop_streams``), and
     preempted streams re-enter at the back so fresh arrivals are never
     starved by swapped-out residents.  Under a model router each model

@@ -9,24 +9,19 @@ the submit/step/finish lifecycle:
 * autoregressive generation streams (``open_stream``) — prefilled in
   coalesced batches, then decoded one token per ``step``.
 
-Two stream schedulers share that lifecycle:
-
-* **round-based** (default): every waiting stream prefills
-  immediately, and every live stream decodes each step in
-  ``max_batch_size`` chunks stacked into fresh shared buffers;
-* **continuous** (``continuous=True``): a :class:`StepPlanner` admits
-  waiting streams directly into free decode slots of a persistent
-  :class:`~repro.serve.streams.KVSlotBuffer` (chunked prefill
-  piggybacked alongside the running streams' decode tokens), evicts
-  finished streams in place, and under queue pressure preempts the
-  longest-running streams to swappable per-stream KV state.
+Streams run under one continuous scheduler: a :class:`StepPlanner`
+admits waiting streams directly into free decode slots of a persistent
+:class:`~repro.serve.streams.KVSlotBuffer` (chunked prefill
+piggybacked alongside the running streams' decode tokens), evicts
+finished streams in place, and under queue pressure preempts the
+longest-running streams to swappable per-stream KV state.
 
 Everything is bit-stable by construction: batches pad to a fixed
 width, per-stream histories stay left-aligned, and per-request
 hardware estimates are computed from per-request record slices — so a
 request's outputs, pruning masks, and cycle/energy estimates do not
 depend on which other requests happened to be coalesced with it, nor
-on which scheduler (or slot) served it.
+on which slot served it.
 
 The core is synchronous and clock-injectable (tests drive a virtual
 clock); :mod:`repro.serve.aio` adds the awaitable front door and
@@ -47,8 +42,7 @@ from .batcher import BatchPolicy, CoalescedBatch, DynamicBatcher, \
     QueuedRequest, coalesce
 from .hardware import HardwareTotals, slice_record
 from .scheduler import SchedulerConfig, SLOAdmission, StepPlanner
-from .streams import KVSlotBuffer, StreamState, stack_caches, \
-    unstack_caches
+from .streams import KVSlotBuffer, StreamState
 
 # terminal reason codes: every ServeResult carries exactly one
 REASON_OK = "ok"
@@ -132,10 +126,9 @@ class ServingStats:
     """Aggregate view of the traffic served so far.
 
     Batch counters tick per model forward; the step counters tick per
-    scheduler step — under the continuous scheduler one step may carry
-    a prefill forward *and* a decode forward, and the per-step
-    admission/preemption tallies are the scheduler's observability
-    surface.
+    scheduler step — one step may carry a prefill forward *and* a
+    decode forward, and the per-step admission/preemption tallies are
+    the scheduler's observability surface.
     """
 
     completed: int = 0
@@ -185,7 +178,7 @@ class ServingEngine:
 
     def __init__(self, engine, policy: BatchPolicy | None = None,
                  estimate_hardware: bool = False, hw_config=None,
-                 clock=time.monotonic, continuous: bool = False,
+                 clock=time.monotonic, continuous: bool = True,
                  preempt_after: int | None = None, pressure: int = 1,
                  slots: int | None = None, faults=None,
                  retries: int = 0, retry_backoff: float = 0.0,
@@ -194,15 +187,15 @@ class ServingEngine:
                  slo: SLOAdmission | None = None,
                  sleep=time.sleep, registry=None, tracer=None,
                  profiler=None, name: str | None = None):
-        """``continuous=True`` swaps the round-based stream loop for
-        the step-planned continuous scheduler: ``slots`` decode slots
-        (default ``max_batch_size``), preempting streams that ran
-        ``preempt_after`` decode steps once ``pressure`` streams wait
-        beyond the free slots (``None`` disables preemption).
+        """Streams are scheduled continuously over ``slots`` decode
+        slots (default ``max_batch_size``), preempting streams that
+        ran ``preempt_after`` decode steps once ``pressure`` streams
+        wait beyond the free slots (``None`` disables preemption).
         ``step_token_budget`` adds vLLM-style token-budget planning on
         top: each step's admissions are throttled so resident decode
         tokens plus admitted streams' chunked-prefill tokens fit the
-        budget (continuous scheduler only).
+        budget.  ``continuous`` is accepted for compatibility and must
+        be true: per-round stream batching has been removed.
 
         Reliability knobs: ``faults`` injects a seeded
         :class:`~repro.serve.faults.FaultPlan` into the forward/step
@@ -225,6 +218,10 @@ class ServingEngine:
         :class:`repro.obs.KernelProfiler`) times the hardware
         simulator's fused kernel calls; ``name`` labels this engine's
         series and trace track (tier replicas pass ``worker0``...)."""
+        if not continuous:
+            raise ValueError("continuous=False selected per-round stream "
+                             "batching, which has been removed; streams "
+                             "always use the continuous slot scheduler")
         if retries < 0:
             raise ValueError("retries must be >= 0")
         if max_backlog_tokens is not None and max_backlog_tokens < 1:
@@ -267,13 +264,12 @@ class ServingEngine:
         self._prefill_width = min(self._pad_to, self._capacity)
         self._per_position = getattr(config, "head", None) == "span"
         self._batcher = DynamicBatcher(self.policy, self._pad_to)
-        self.continuous = continuous
         self._planner = StepPlanner(SchedulerConfig(
             max_slots=slots or self.policy.max_batch_size,
             preempt_after=preempt_after,
             pressure=pressure,
             step_token_budget=step_token_budget),
-            registry=registry, labels=self._labels) if continuous else None
+            registry=registry, labels=self._labels)
         self._step_token_budget = step_token_budget
         self._slo = slo
         if slo is not None:
@@ -406,9 +402,7 @@ class ServingEngine:
         admission gate) price backlog drain time with it."""
         if self._step_token_budget is not None:
             return self._step_token_budget
-        if self._planner is not None:
-            return self._planner.config.max_slots
-        return self.policy.max_batch_size
+        return self._planner.config.max_slots
 
     def submit(self, inputs: np.ndarray, mask: np.ndarray | None = None,
                now: float | None = None, deadline: float | None = None,
@@ -498,7 +492,7 @@ class ServingEngine:
 
     # -- occupancy introspection (leak checks, admission control) -------
     def kv_slots_in_use(self) -> int:
-        """Occupied KVSlotBuffer slots (continuous scheduler)."""
+        """Occupied KVSlotBuffer slots: the running streams."""
         return len(self._slots) if self._slots is not None else 0
 
     def queue_depth(self) -> int:
@@ -512,12 +506,7 @@ class ServingEngine:
         """Token work this engine still owes: everything waiting in its
         queues plus the remaining generation budget of streams already
         running — the worker tier's least-loaded routing signal."""
-        if self.continuous:
-            live = (self._slots.streams if self._slots is not None
-                    else [])
-        else:                            # round-based: live = has caches
-            live = [s for s in self._streams.values()
-                    if not s.done and s.caches is not None]
+        live = self._slots.streams if self._slots is not None else []
         remaining = sum(max(s.max_new_tokens - s.new_tokens, 0)
                         for s in live)
         return self._batcher.backlog_tokens() + remaining
@@ -558,9 +547,9 @@ class ServingEngine:
 
     def _terminate_stream(self, stream: StreamState, reason: str,
                           error: Exception) -> None:
-        """Stop a live stream wherever it is — waiting, swapped out,
-        running in a slot, or live round-based — and free every bit of
-        its KV state (slot row or per-stream caches)."""
+        """Stop a live stream wherever it is — waiting, swapped out or
+        running in a slot — and free every bit of its KV state (slot
+        row or swapped-out caches)."""
         self._batcher.discard_stream(stream.stream_id)
         if stream.slot is not None:
             self._slots.evict(stream)
@@ -669,12 +658,10 @@ class ServingEngine:
     def step(self, now: float | None = None,
              budget: int | None = None) -> list[int]:
         """One scheduler step: flush every due classification batch,
-        then advance the streams — round-based (prefill everything,
-        decode every live stream) or continuous (plan admissions /
-        preemptions, decode the slot batch).  ``budget`` caps the
-        continuous scheduler's decode slots this step (the model
-        router's shared step budget).  Returns ids completed during
-        this step."""
+        then advance the streams (plan admissions / preemptions,
+        decode the slot batch).  ``budget`` caps this step's decode
+        slots (the model router's shared step budget).  Returns ids
+        completed during this step."""
         if self._faults is not None:
             # injected step latency: burn it before reading the clock
             # so this step (and its deadline checks) observe the delay
@@ -866,40 +853,7 @@ class ServingEngine:
                 return forward(), None
         return self._with_retries(run)
 
-    def _stream_step(self, budget: int | None) -> list[int]:
-        if self.continuous:
-            return self._continuous_step(budget)
-        completed = self._prefill_pending()
-        completed += self._decode_round()
-        return completed
-
-    # -- round-based scheduler ------------------------------------------
-    def _prefill_pending(self) -> list[int]:
-        completed: list[int] = []
-        while self._batcher.stream_count():
-            chunk = self._batcher.pop_streams(self.policy.max_batch_size)
-            completed += self._prefill(chunk)
-        return completed
-
-    def _decode_round(self) -> list[int]:
-        live = [s for s in self._streams.values()
-                if not s.done and s.caches is not None]
-        live.sort(key=lambda s: s.stream_id)
-        completed: list[int] = []
-        model = self.engine.model
-        size = self.policy.max_batch_size
-        for start in range(0, len(live), size):
-            chunk = live[start:start + size]
-            caches = stack_caches(chunk, self._capacity,
-                                  len(model.blocks))
-            completed += self._decode(chunk, caches)
-            unstack_caches(chunk, caches)
-            for stream in chunk:
-                if stream.done:
-                    stream.evict()
-        return completed
-
-    # -- continuous scheduler -------------------------------------------
+    # -- stream scheduler -----------------------------------------------
     def _slot_buffer(self) -> KVSlotBuffer:
         if self._slots is None:
             model = self.engine.model
@@ -914,7 +868,7 @@ class ServingEngine:
                           else None))
         return self._slots
 
-    def _continuous_step(self, budget: int | None) -> list[int]:
+    def _stream_step(self, budget: int | None) -> list[int]:
         """One planned step: preempt under pressure, admit waiting
         streams into free slots (fresh ones prefill this step — the
         chunked-prefill piggyback), decode the slot batch once."""
@@ -950,7 +904,7 @@ class ServingEngine:
             slots.admit(stream, caches)
         completed: list[int] = []
         if fresh:
-            completed += self._prefill(fresh, slots=slots)
+            completed += self._prefill(fresh, slots)
         self.stats.record_step(admitted=len(admitted),
                                preempted=len(plan.preempt),
                                resumed=len(resumed))
@@ -967,12 +921,11 @@ class ServingEngine:
                     slots.evict(stream)
         return completed
 
-    # -- shared model-facing sub-steps ----------------------------------
+    # -- model-facing sub-steps -----------------------------------------
     def _prefill(self, streams: list[StreamState],
-                 slots: KVSlotBuffer | None = None) -> list[int]:
-        """Coalesced prompt prefill; survivors keep their caches
-        per-stream (round-based) or move straight into the slot buffer
-        (continuous)."""
+                 slots: KVSlotBuffer) -> list[int]:
+        """Coalesced prompt prefill; survivors move straight into the
+        slot buffer."""
         model = self.engine.model
         lengths = np.array([s.length for s in streams], dtype=np.int64)
         tokens = np.zeros((len(streams), self._prefill_width),
@@ -1012,11 +965,8 @@ class ServingEngine:
             if self._stream_exhausted(stream):
                 self._finalize_stream(stream)
                 completed.append(stream.stream_id)
-            elif slots is not None:
-                slots.admit(stream, trimmed)
             else:
-                stream.caches = [{"k": c["k"].copy(), "v": c["v"].copy()}
-                                 for c in trimmed]
+                slots.admit(stream, trimmed)
         return completed
 
     def _decode(self, chunk: list[StreamState],
@@ -1034,8 +984,8 @@ class ServingEngine:
                 lambda: model.decode_step(last, caches))
         except Exception as error:       # noqa: BLE001 — contained
             # fail exactly this decode chunk; the scheduler's done-
-            # stream sweep releases the KV state (slot rows or caches)
-            # after the shared buffers are settled
+            # stream sweep releases the slot rows after the shared
+            # buffers are settled
             return self._fail_chunk(chunk, error)
         self.stats.decode_rounds += 1
         self.stats.record_batch(len(chunk))
@@ -1063,9 +1013,9 @@ class ServingEngine:
     def _fail_chunk(self, streams: list[StreamState],
                     error: Exception) -> list[int]:
         """Terminate the streams of one failed coalesced forward with
-        ``engine_error``.  Slot/cache release is deliberately left to
-        the calling scheduler's done-stream sweep, which already evicts
-        finished streams once the shared buffers are consistent."""
+        ``engine_error``.  Slot release is deliberately left to the
+        stream step's done-stream sweep, which already evicts finished
+        streams once the shared buffers are consistent."""
         self.last_step_errors += 1
         for stream in streams:
             stream.done = True

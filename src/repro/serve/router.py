@@ -11,9 +11,9 @@ router-global, so callers never juggle per-engine id spaces.
 Scheduling is budget-shared: each router step splits ``step_budget``
 decode slots across the engines that have stream work, proportionally
 to their load with a rotating remainder (deficit round-robin), and
-passes each engine its share — under the continuous scheduler an
-engine whose share shrank below its running set swaps the overflow
-out to per-stream KV state until pressure moves elsewhere.  Because
+passes each engine its share — an engine whose share shrank below
+its running set swaps the overflow out to per-stream KV state until
+pressure moves elsewhere.  Because
 every engine keeps its own pad widths and KV buffers, routing is
 bit-invisible: a request's outputs and hardware estimates are
 identical to serving it on that model's engine alone.
@@ -335,13 +335,7 @@ class ModelRouter:
 
     # -- advancing ------------------------------------------------------
     def _stream_demand(self, engine: ServingEngine) -> int:
-        if engine.continuous:
-            running = (len(engine._slots)
-                       if engine._slots is not None else 0)
-        else:                            # round-based: live = has caches
-            running = sum(1 for s in engine._streams.values()
-                          if not s.done and s.caches is not None)
-        return running + engine._batcher.stream_count()
+        return engine.kv_slots_in_use() + engine._batcher.stream_count()
 
     def _shares(self, demands: dict[str, int]) -> dict[str, int]:
         """Split the step budget across engines with stream demand:

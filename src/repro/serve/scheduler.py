@@ -1,11 +1,7 @@
 """Continuous-batching step planner: admission, eviction, preemption.
 
-The round-based scheduler prefills every waiting stream immediately and
-decodes *all* live streams each step in ``max_batch_size`` chunks — so
-mixed arrival traffic pays many partially-filled forwards (the
-remainder chunk) exactly when queue pressure is highest.  The
-:class:`StepPlanner` replaces those rounds with vLLM-style continuous
-batching over a fixed pool of decode slots:
+The :class:`StepPlanner` schedules generation streams vLLM-style, one
+step at a time, over a fixed pool of decode slots:
 
 * finished streams release their slot in place (no barrier);
 * waiting streams are admitted straight into free slots — at most
@@ -34,7 +30,7 @@ from .streams import StreamState
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Continuous-scheduler knobs (`--continuous` / `--preempt-after`).
+    """Stream-scheduler knobs (``--preempt-after`` on the CLI).
 
     ``max_slots``: decode slots (the running-set size; defaults to the
     batch policy's ``max_batch_size``).

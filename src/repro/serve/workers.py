@@ -85,7 +85,7 @@ class WorkerTier:
         ``mmap=True`` loads each replica's weights as read-only
         memory maps of one shared on-disk sidecar instead of private
         heap copies (see :func:`repro.core.engine.load_mmap_state`).
-        ``engine_kwargs`` (``continuous=``, ``step_token_budget=``,
+        ``engine_kwargs`` (``step_token_budget=``, ``preempt_after=``,
         ``slo=``, ``estimate_hardware=``, ``registry=``, ``tracer=``,
         ...) configure every worker's
         :class:`~repro.serve.engine.ServingEngine` identically; pass a

@@ -31,7 +31,7 @@ def test_serve_demo_stats_smoke():
 
 def test_serve_demo_continuous_generate_smoke():
     proc = run_cli("-m", "repro.serve", "--mode", "generate",
-                   "--continuous", "--streams", "3", "--new-tokens", "4")
+                   "--streams", "3", "--new-tokens", "4")
     assert proc.returncode == 0, proc.stderr
     assert "continuous scheduler" in proc.stdout
     assert "Traceback" not in proc.stderr

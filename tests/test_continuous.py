@@ -4,8 +4,9 @@ A stream served by the continuous scheduler — admitted into a
 partially-filled decode batch, shuffled across KV slots, preempted to
 swapped-out state and resumed — must be *bit-identical* (tokens,
 logits, pruning masks, hardware estimates) to the same stream served
-alone, and to the round-based scheduler, under staggered arrivals,
-preemption/resume, and multi-model routing."""
+alone, under staggered arrivals, preemption/resume, and multi-model
+routing; and its tokens must equal the model's own greedy
+``generate``, an oracle outside ``repro.serve``."""
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def make_continuous(engine, max_batch_size, preempt_after=None,
         engine, BatchPolicy(max_batch_size=max_batch_size, max_wait=0.0,
                             **policy_kwargs),
         estimate_hardware=True, clock=lambda: clock[0],
-        continuous=True, preempt_after=preempt_after, pressure=pressure)
+        preempt_after=preempt_after, pressure=pressure)
     return serving, clock
 
 
@@ -54,7 +55,7 @@ def assert_streams_identical(got, expected):
 
 
 # ---------------------------------------------------------------------------
-# continuous vs solo / round-based equivalence
+# continuous vs solo / model.generate equivalence
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -72,15 +73,26 @@ def test_continuous_staggered_bit_identical_to_solo(seed):
     assert serving.stats.max_batch_size >= 2
 
 
-def test_continuous_matches_round_based_per_stream():
-    engine = make_lm_engine(2)
-    rng = np.random.default_rng(2)
+@pytest.mark.parametrize("preempt_after", [None, 2])
+@pytest.mark.parametrize("seed", [2, 3])
+def test_served_tokens_match_model_generate(seed, preempt_after):
+    """Served tokens equal ``TransformerLM.generate``'s greedy decode,
+    which runs one stream at a time through the append-protocol KV
+    cache — no slot buffer, planner or batcher involved.  Staggered
+    arrivals, with more streams than slots; ``preempt_after=2`` also
+    swaps streams out and back in."""
+    engine = make_lm_engine(seed)
+    rng = np.random.default_rng(seed)
     prompts = [rng.integers(1, 40, size=int(n))
-               for n in rng.integers(1, 9, size=7)]
-    round_based, _ = serve_streams(engine, prompts, 5, max_batch_size=4)
-    serving, _ = make_continuous(engine, max_batch_size=4)
-    got = run_staggered(serving, prompts, 5, arrive_every=2)
-    assert_streams_identical(got, round_based)
+               for n in rng.integers(1, 9, size=8)]
+    serving, _ = make_continuous(engine, max_batch_size=3,
+                                 preempt_after=preempt_after)
+    got = run_staggered(serving, prompts, 8, arrive_every=2)
+    for prompt, result in zip(prompts, got):
+        expected = engine.model.generate(prompt[None, :], 8)[0]
+        np.testing.assert_array_equal(result.tokens, expected)
+    assert serving.stats.max_batch_size >= 2
+    assert (serving.stats.preemptions > 0) == (preempt_after is not None)
 
 
 def test_preemption_and_resume_stay_bit_identical():
@@ -168,13 +180,11 @@ def test_router_bit_identical_under_shared_budget():
         {"a": ServingEngine(lm_a, BatchPolicy(max_batch_size=4,
                                               max_wait=0.0),
                             estimate_hardware=True,
-                            clock=lambda: clock[0], continuous=True,
-                            preempt_after=3),
+                            clock=lambda: clock[0], preempt_after=3),
          "b": ServingEngine(lm_b, BatchPolicy(max_batch_size=4,
                                               max_wait=0.0),
                             estimate_hardware=True,
-                            clock=lambda: clock[0], continuous=True,
-                            preempt_after=3)},
+                            clock=lambda: clock[0], preempt_after=3)},
         step_budget=4, clock=lambda: clock[0])
     ids_a = [router.open_stream(p, 5, model="a") for p in prompts_a]
     ids_b = [router.open_stream(p, 5, model="b") for p in prompts_b]
@@ -187,8 +197,7 @@ def test_router_bit_identical_under_shared_budget():
 
 def test_router_routes_by_model_and_rejects_unknown():
     router = ModelRouter({"lm": ServingEngine(
-        make_lm_engine(0), BatchPolicy(max_batch_size=2, max_wait=0.0),
-        continuous=True)})
+        make_lm_engine(0), BatchPolicy(max_batch_size=2, max_wait=0.0))})
     rng = np.random.default_rng(0)
     with pytest.raises(KeyError, match="unknown model"):
         router.open_stream(rng.integers(1, 40, size=3), 2, model="nope")
@@ -321,3 +330,11 @@ def test_finish_releases_slot_and_waiting_stream():
     serving.finish(waiting)                 # hangs up before admission
     assert serving._batcher.stream_count() == 0
     assert not serving.has_pending()
+
+
+def test_continuous_false_is_rejected():
+    """The continuous scheduler is the only one; asking for the removed
+    per-round batching fails loudly instead of silently ignoring it."""
+    with pytest.raises(ValueError, match="per-round stream batching"):
+        ServingEngine(make_lm_engine(0), continuous=False)
+    assert not hasattr(ServingEngine(make_lm_engine(0)), "continuous")

@@ -24,14 +24,13 @@ KNOWN_REASONS = {REASON_OK, REASON_DEADLINE, REASON_CANCELLED,
                  REASON_ERROR, REASON_SHED}
 
 
-def make_reliable(engine, max_batch_size=3, continuous=False,
-                  max_wait=0.0, **kwargs):
+def make_reliable(engine, max_batch_size=3, max_wait=0.0, **kwargs):
     clock = [0.0]
     serving = ServingEngine(
         engine, BatchPolicy(max_batch_size=max_batch_size,
                             max_wait=max_wait),
         estimate_hardware=True, clock=lambda: clock[0],
-        continuous=continuous, sleep=lambda s: None, **kwargs)
+        sleep=lambda s: None, **kwargs)
     return serving, clock
 
 
@@ -113,21 +112,20 @@ def test_deadline_and_ttl_are_mutually_exclusive():
         serving.submit(np.arange(3), ttl=0.0)
 
 
-@pytest.mark.parametrize("continuous", [False, True])
-def test_stream_deadline_frees_kv_state(continuous):
+def test_stream_deadline_frees_kv_state():
     engine = make_lm_engine(0)
     rng = np.random.default_rng(0)
     prompts = [rng.integers(1, 40, size=4) for _ in range(3)]
-    serving, clock = make_reliable(engine, continuous=continuous)
+    serving, clock = make_reliable(engine)
     doomed = [serving.open_stream(prompts[0], 30, ttl=5.0),
               serving.open_stream(prompts[1], 30, ttl=5.0)]
     survivor = serving.open_stream(prompts[2], 4)
     serving.step()                       # prefill/admit everything
-    if continuous:
-        assert serving.kv_slots_in_use() == 3
+    assert serving.kv_slots_in_use() == 3
     clock[0] = 10.0
     completed = serving.step()           # expiry sweep runs first
     assert set(doomed) <= set(completed)
+    assert serving.kv_slots_in_use() == 1    # doomed slots freed
     for stream_id in doomed:
         assert serving.result(stream_id).reason == REASON_DEADLINE
         with pytest.raises(DeadlineExceeded):
@@ -145,7 +143,7 @@ def test_stream_deadline_frees_kv_state(continuous):
 
 
 def test_expired_stream_result_keeps_partial_generation():
-    serving, clock = make_reliable(make_lm_engine(1), continuous=True)
+    serving, clock = make_reliable(make_lm_engine(1))
     stream_id = serving.open_stream(np.arange(1, 5), 50, ttl=5.0)
     for _ in range(3):
         serving.step()     # prefill+decode piggyback, then 2 decodes
@@ -176,20 +174,17 @@ def test_cancel_queued_classify_request():
     assert_no_leaks(serving)
 
 
-@pytest.mark.parametrize("continuous", [False, True])
-def test_cancel_running_stream_frees_kv_state(continuous):
+def test_cancel_running_stream_frees_kv_state():
     engine = make_lm_engine(0)
     rng = np.random.default_rng(3)
     prompts = [rng.integers(1, 40, size=5) for _ in range(2)]
-    serving, _ = make_reliable(engine, continuous=continuous)
+    serving, _ = make_reliable(engine)
     doomed = serving.open_stream(prompts[0], 30)
     survivor = serving.open_stream(prompts[1], 4)
     serving.step()
-    if continuous:
-        assert serving.kv_slots_in_use() == 2
+    assert serving.kv_slots_in_use() == 2
     assert serving.cancel(doomed) is True
-    if continuous:
-        assert serving.kv_slots_in_use() == 1     # slot freed on cancel
+    assert serving.kv_slots_in_use() == 1         # slot freed on cancel
     while serving.has_pending():
         serving.step()
     with pytest.raises(RequestCancelled):
@@ -231,8 +226,7 @@ def test_backlog_limit_sheds_classify_overload():
 
 
 def test_backlog_limit_counts_stream_budget():
-    serving, _ = make_reliable(make_lm_engine(0), continuous=True,
-                               max_backlog_tokens=20)
+    serving, _ = make_reliable(make_lm_engine(0), max_backlog_tokens=20)
     # 4 prompt + 10 new = 14 budgeted tokens
     admitted = serving.open_stream(np.arange(1, 5), 10)
     shed = serving.open_stream(np.arange(1, 5), 10)
@@ -295,11 +289,9 @@ def test_retry_recovers_bit_identically():
     assert_no_leaks(serving)
 
 
-@pytest.mark.parametrize("continuous", [False, True])
-def test_exhausted_retries_fail_chunk_without_leaking(continuous):
+def test_exhausted_retries_fail_chunk_without_leaking():
     plan = FaultPlan([Fault(kind="forward", at=i) for i in range(4)])
-    serving, _ = make_reliable(make_lm_engine(0), continuous=continuous,
-                               faults=plan, retries=1)
+    serving, _ = make_reliable(make_lm_engine(0), faults=plan, retries=1)
     stream_id = serving.open_stream(np.arange(1, 6), 4)
     while serving.has_pending():
         serving.step()
@@ -314,7 +306,7 @@ def test_exhausted_retries_fail_chunk_without_leaking(continuous):
 # ---------------------------------------------------------------------------
 
 def make_routed(names_to_plans, clock, policy, fallbacks=None,
-                continuous=False, generative=False, max_batch_size=1):
+                generative=False, max_batch_size=1):
     engines = {}
     for name, plan in names_to_plans.items():
         inner = make_lm_engine(0) if generative \
@@ -322,8 +314,7 @@ def make_routed(names_to_plans, clock, policy, fallbacks=None,
         engines[name] = ServingEngine(
             inner, BatchPolicy(max_batch_size=max_batch_size,
                                max_wait=0.0),
-            clock=lambda: clock[0], continuous=continuous, faults=plan,
-            sleep=lambda s: None)
+            clock=lambda: clock[0], faults=plan, sleep=lambda s: None)
     return ModelRouter(engines, clock=lambda: clock[0], health=policy,
                        fallbacks=fallbacks)
 
@@ -386,8 +377,7 @@ def test_router_quarantine_reroutes_waiting_streams_to_fallback():
     policy = HealthPolicy(degraded_after=1, quarantine_after=1)
     plan = FaultPlan([Fault(kind="forward", at=i) for i in range(64)])
     router = make_routed({"bad": plan, "good": None}, clock, policy,
-                         fallbacks={"bad": "good"}, continuous=True,
-                         generative=True)
+                         fallbacks={"bad": "good"}, generative=True)
     rng = np.random.default_rng(5)
     prompts = [rng.integers(1, 40, size=4) for _ in range(3)]
     ids = [router.open_stream(p, 4, model="bad") for p in prompts]
@@ -419,8 +409,7 @@ def test_router_quarantine_without_fallback_fails_fast():
     clock = [0.0]
     policy = HealthPolicy(degraded_after=1, quarantine_after=1)
     plan = FaultPlan([Fault(kind="forward", at=i) for i in range(64)])
-    router = make_routed({"bad": plan}, clock, policy, continuous=True,
-                         generative=True)
+    router = make_routed({"bad": plan}, clock, policy, generative=True)
     ids = [router.open_stream(np.arange(1, 5), 4, model="bad")
            for _ in range(3)]
     completed = router.step()
@@ -460,15 +449,14 @@ def test_router_half_open_probe_reinstates_engine():
 # chaos soak: typed termination, zero leaks, bit-identical replay
 # ---------------------------------------------------------------------------
 
-def run_generate_chaos(engine, prompts, plan, continuous, clock=None):
+def run_generate_chaos(engine, prompts, plan, clock=None):
     clock = clock if clock is not None else [0.0]
     plan.sleeper = lambda seconds: clock.__setitem__(
         0, clock[0] + seconds)           # injected latency = virtual time
     serving = ServingEngine(
         engine, BatchPolicy(max_batch_size=3, max_wait=0.0),
         estimate_hardware=True, clock=lambda: clock[0],
-        continuous=continuous, faults=plan, retries=1,
-        sleep=lambda s: None)
+        faults=plan, retries=1, sleep=lambda s: None)
     ids = []
     for i, prompt in enumerate(prompts):
         ttl = 0.4 if i % 3 == 0 else None
@@ -484,9 +472,8 @@ def run_generate_chaos(engine, prompts, plan, continuous, clock=None):
     return serving, ids
 
 
-@pytest.mark.parametrize("continuous", [False, True])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_chaos_soak_generate(continuous, seed):
+def test_chaos_soak_generate(seed):
     engine = make_lm_engine(seed)
     rng = np.random.default_rng(seed)
     prompts = [rng.integers(1, 40, size=int(n))
@@ -494,8 +481,7 @@ def test_chaos_soak_generate(continuous, seed):
     plan = FaultPlan.seeded(seed, forwards=5, latencies=4, horizon=40,
                             max_seconds=0.3)
 
-    serving, ids = run_generate_chaos(engine, prompts, plan.reset(),
-                                      continuous)
+    serving, ids = run_generate_chaos(engine, prompts, plan.reset())
     # 1. every request reached a typed terminal state
     reasons = []
     for stream_id in ids:
@@ -516,7 +502,7 @@ def test_chaos_soak_generate(continuous, seed):
             assert result.hardware == expected.hardware
     # 4. the same plan replays the same chaos bit-identically
     replay, replay_ids = run_generate_chaos(engine, prompts,
-                                            plan.reset(), continuous)
+                                            plan.reset())
     assert [replay.result(i).reason for i in replay_ids] == reasons
     for a, b in zip(ids, replay_ids):
         np.testing.assert_array_equal(serving.result(a).tokens,
@@ -541,7 +527,7 @@ def test_latency_fault_trips_deadline_not_engine_error():
         serving = ServingEngine(
             engine, BatchPolicy(max_batch_size=3, max_wait=0.0),
             estimate_hardware=True, clock=lambda: clock[0],
-            continuous=True, faults=plan, sleep=lambda s: None)
+            faults=plan, sleep=lambda s: None)
         doomed = [serving.open_stream(prompts[0], 20, ttl=0.5),
                   serving.open_stream(prompts[1], 20, ttl=0.5)]
         survivor = serving.open_stream(prompts[2], 4)
@@ -824,7 +810,7 @@ def test_router_admission_sheds_streams_on_tbt_target():
     engine = ServingEngine(
         make_lm_engine(0),
         BatchPolicy(max_batch_size=4, max_wait=0.0),
-        clock=lambda: clock[0], continuous=True, name="lm")
+        clock=lambda: clock[0], name="lm")
     router = ModelRouter(
         {"lm": engine}, clock=lambda: clock[0],
         admission=SLOAdmission(tbt_target=1e-6, step_time=1.0))

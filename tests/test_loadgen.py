@@ -37,7 +37,6 @@ def snapshot(tmp_path_factory):
 
 def make_tier(snapshot, replicas=2, **kwargs):
     clock = VirtualClock()
-    kwargs.setdefault("continuous", True)
     kwargs.setdefault("step_token_budget", 16)
     tier = WorkerTier.from_snapshot(
         snapshot, replicas=replicas,
@@ -300,7 +299,7 @@ def test_engine_throttles_admissions_by_token_budget():
     clock = [0.0]
     serving = ServingEngine(
         make_lm_engine(0), BatchPolicy(max_batch_size=4, max_wait=0.0),
-        clock=lambda: clock[0], continuous=True, step_token_budget=11)
+        clock=lambda: clock[0], step_token_budget=11)
     prompts = [np.arange(1, 5, dtype=np.int64) for _ in range(3)]
     ids = [serving.open_stream(p, max_new_tokens=3) for p in prompts]
     serving.step()
@@ -323,7 +322,7 @@ def test_slo_admission_sheds_with_typed_shed_overload():
     clock = [0.0]
     serving = ServingEngine(
         make_lm_engine(0), BatchPolicy(max_batch_size=4, max_wait=0.0),
-        clock=lambda: clock[0], continuous=True,
+        clock=lambda: clock[0],
         slo=SLOAdmission(ttft_target=0.5, step_time=1.0))
     stream_id = serving.open_stream(np.arange(1, 5, dtype=np.int64), 4)
     assert serving.step() == [stream_id]
@@ -385,7 +384,7 @@ def test_request_timing_marks_follow_the_virtual_clock():
     clock = [0.0]
     serving = ServingEngine(
         make_lm_engine(0), BatchPolicy(max_batch_size=2, max_wait=0.0),
-        clock=lambda: clock[0], continuous=True)
+        clock=lambda: clock[0])
     stream_id = serving.open_stream(np.arange(1, 4, dtype=np.int64),
                                     max_new_tokens=3, now=0.0)
     while serving.has_pending():

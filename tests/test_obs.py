@@ -198,7 +198,7 @@ def run_traced_tier(snapshot, registry, tracer):
     tier = WorkerTier.from_snapshot(
         snapshot, replicas=2,
         policy=BatchPolicy(max_batch_size=4, max_wait=0.0),
-        clock=clock, continuous=True, step_token_budget=32,
+        clock=clock, step_token_budget=32,
         registry=registry, tracer=tracer)
     trace = TraceSpec(seed=3, requests=24, process="bursty")
     return replay_trace(tier, trace, clock=clock)
@@ -272,7 +272,7 @@ def test_scheduler_and_slo_metrics_publish(snapshot):
     clock = VirtualClock()
     serving = ServingEngine(
         engine, BatchPolicy(max_batch_size=2, max_wait=0.0),
-        clock=clock, continuous=True, step_token_budget=8,
+        clock=clock, step_token_budget=8,
         slo=SLOAdmission(ttft_target=10.0), registry=registry)
     rng = np.random.default_rng(1)
     ids = [serving.open_stream(rng.integers(1, 40, size=3),

@@ -40,7 +40,6 @@ def snapshot(tmp_path_factory):
 
 def make_proc_tier(snapshot, replicas=2, **kwargs):
     clock = VirtualClock()
-    kwargs.setdefault("continuous", True)
     kwargs.setdefault("step_token_budget", 16)
     tier = ProcessWorkerTier.from_snapshot(
         snapshot, replicas=replicas,
@@ -51,7 +50,6 @@ def make_proc_tier(snapshot, replicas=2, **kwargs):
 
 def make_inproc_tier(snapshot, replicas=2, **kwargs):
     clock = VirtualClock()
-    kwargs.setdefault("continuous", True)
     kwargs.setdefault("step_token_budget", 16)
     tier = WorkerTier.from_snapshot(
         snapshot, replicas=replicas,
@@ -354,6 +352,48 @@ def test_mmap_from_directory_is_readonly_and_bit_identical(snapshot):
     tokens = np.arange(1, 6, dtype=np.int64)[None, :]
     np.testing.assert_array_equal(mapped.model.logits(tokens).data,
                                   plain.model.logits(tokens).data)
+
+
+def _open_mapped_and_check(directory, barrier):
+    """Child body: start with the siblings, map the snapshot, and exit
+    non-zero unless every array matches ``weights.npz``."""
+    from repro.core.engine import load_mmap_state
+
+    barrier.wait()
+    try:
+        state = load_mmap_state(directory)
+        with np.load(os.path.join(directory, "weights.npz")) as reference:
+            ok = (sorted(state) == sorted(reference.files)
+                  and all(np.array_equal(state[name], reference[name])
+                          for name in reference.files))
+    except Exception:                    # noqa: BLE001 — exit code says it
+        os._exit(2)
+    os._exit(0 if ok else 1)
+
+
+@needs_fork
+def test_concurrent_mmap_openers_of_fresh_snapshot(tmp_path):
+    """N worker processes boot at once on a snapshot nobody expanded
+    yet: every one must map a complete sidecar.  A late expander may
+    never delete the current sidecar that a sibling just published
+    and is reading from."""
+    ctx = multiprocessing.get_context("fork")
+    engine = make_lm_engine(0)
+    for trial in range(12):
+        directory = str(tmp_path / f"trial{trial}")
+        engine.save(directory)
+        barrier = ctx.Barrier(4)
+        procs = [ctx.Process(target=_open_mapped_and_check,
+                             args=(directory, barrier))
+                 for _ in range(4)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+        codes = [proc.exitcode for proc in procs]
+        assert codes == [0] * 4, f"trial {trial}: exit codes {codes}"
+        # a re-opened snapshot still maps the one published sidecar
+        assert os.listdir(os.path.join(directory, "weights_mmap"))
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
