@@ -13,10 +13,16 @@ requiring identical results at each rung:
   headline cross-job fusion gate) and >= 1.1x cacheless (the
   regression floor for banding/batch-packing alone).
 
-When ``REPRO_BENCH_DIR`` is set (CI does), each gate also appends its
-measured numbers to a versioned ``BENCH_kernel_micro.json`` artifact.
+Every gate times the two sides in interleaved paired rounds,
+alternating which side runs first, and gates on the median of the
+per-round time ratios: a burst of host load then skews one round's
+pair, not one side's whole sample.  When ``REPRO_BENCH_DIR`` is set
+(CI does), each gate also appends its measured numbers, with the
+spread of the paired ratios, to a versioned ``BENCH_kernel_micro.json``
+artifact.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -57,36 +63,56 @@ def _scalar_reference(q, k):
     return cycles, pruned
 
 
-def test_kernel_micro_speedup(benchmark):
-    q, k = _make_tile()
-    cycles_vec, pruned_vec, _ = benchmark(
-        lambda: bitserial_cycles_matrix(q, k, THRESHOLD, MAGNITUDE_BITS,
-                                        GROUP))
+def _paired(slow, fast, rounds: int) -> dict:
+    """Time ``slow`` and ``fast`` in ``rounds`` interleaved pairs,
+    alternating which runs first, after one untimed warm-up of each.
+    Returns the median per-round ratio ``slow / fast`` (the gated
+    speedup), its min/max spread and each side's median seconds."""
+    slow()
+    fast()
+    ratios, slow_s, fast_s = [], [], []
+    for round_index in range(rounds):
+        order = ((slow, slow_s), (fast, fast_s))
+        if round_index % 2:
+            order = order[::-1]
+        for fn, times in order:
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        ratios.append(slow_s[-1] / fast_s[-1])
+    return {"speedup": statistics.median(ratios),
+            "speedup_min": min(ratios), "speedup_max": max(ratios),
+            "rounds": rounds,
+            "slow_seconds": statistics.median(slow_s),
+            "fast_seconds": statistics.median(fast_s)}
 
-    start = time.perf_counter()
+
+def test_kernel_micro_speedup():
+    q, k = _make_tile()
+    cycles_vec, pruned_vec, _ = bitserial_cycles_matrix(
+        q, k, THRESHOLD, MAGNITUDE_BITS, GROUP)
     cycles_ref, pruned_ref = _scalar_reference(q, k)
-    scalar_seconds = time.perf_counter() - start
 
     # identical semantics ...
     np.testing.assert_array_equal(cycles_vec, cycles_ref)
     np.testing.assert_array_equal(pruned_vec, pruned_ref)
 
     # ... at >= 10x the throughput (typically far more)
-    vector_seconds = benchmark.stats.stats.mean
-    speedup = scalar_seconds / vector_seconds
-    print(f"\nvectorized {vector_seconds * 1e3:.2f} ms vs scalar "
-          f"{scalar_seconds * 1e3:.1f} ms -> {speedup:.0f}x")
-    assert speedup >= 10.0
-
-
-def _best_of(fn, rounds: int = 5) -> float:
-    fn()                                     # warm up out of the timing
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+    timing = _paired(
+        lambda: _scalar_reference(q, k),
+        lambda: bitserial_cycles_matrix(q, k, THRESHOLD, MAGNITUDE_BITS,
+                                        GROUP),
+        rounds=3)
+    print(f"\nvectorized {timing['fast_seconds'] * 1e3:.2f} ms vs scalar "
+          f"{timing['slow_seconds'] * 1e3:.1f} ms -> "
+          f"{timing['speedup']:.0f}x (paired min "
+          f"{timing['speedup_min']:.0f}x, max {timing['speedup_max']:.0f}x)")
+    record_bench("kernel_micro", {"gate": "vectorized_vs_scalar",
+                                  **timing},
+                 context={"tile": TILE, "dim": DIM,
+                          "magnitude_bits": MAGNITUDE_BITS,
+                          "group": GROUP})
+    assert timing["speedup"] >= 10.0
 
 
 def test_packed_backend_speedup_at_paper_scale():
@@ -105,21 +131,21 @@ def test_packed_backend_speedup_at_paper_scale():
                                   ("cycles", "pruned", "scores")):
         np.testing.assert_array_equal(ours, theirs, err_msg=name)
 
-    ref_seconds = _best_of(
-        lambda: ref.matrix(q, k, threshold, MAGNITUDE_BITS, GROUP))
-    packed_seconds = _best_of(
-        lambda: packed.matrix(q, k, threshold, MAGNITUDE_BITS, GROUP))
-    speedup = ref_seconds / packed_seconds
-    print(f"\nnumpy-packed {packed_seconds * 1e3:.1f} ms vs numpy-ref "
-          f"{ref_seconds * 1e3:.1f} ms at S={PAPER_TILE} "
-          f"-> {speedup:.2f}x")
-    record_bench("kernel_micro", {
-        "gate": "packed_vs_ref_paper_scale",
-        "ref_seconds": ref_seconds, "packed_seconds": packed_seconds,
-        "speedup": speedup,
-    }, context={"tile": PAPER_TILE, "dim": DIM,
-                "magnitude_bits": MAGNITUDE_BITS, "group": GROUP})
-    assert speedup >= PACKED_MIN_SPEEDUP
+    timing = _paired(
+        lambda: ref.matrix(q, k, threshold, MAGNITUDE_BITS, GROUP),
+        lambda: packed.matrix(q, k, threshold, MAGNITUDE_BITS, GROUP),
+        rounds=7)
+    print(f"\nnumpy-packed {timing['fast_seconds'] * 1e3:.1f} ms vs "
+          f"numpy-ref {timing['slow_seconds'] * 1e3:.1f} ms at "
+          f"S={PAPER_TILE} -> {timing['speedup']:.2f}x (paired min "
+          f"{timing['speedup_min']:.2f}x, max "
+          f"{timing['speedup_max']:.2f}x)")
+    record_bench("kernel_micro", {"gate": "packed_vs_ref_paper_scale",
+                                  **timing},
+                 context={"tile": PAPER_TILE, "dim": DIM,
+                          "magnitude_bits": MAGNITUDE_BITS,
+                          "group": GROUP})
+    assert timing["speedup"] >= PACKED_MIN_SPEEDUP
 
 
 def _serving_step_jobs(streams: int = 96):
@@ -154,24 +180,26 @@ def test_fused_many_speedup_at_serving_shapes():
                                       ("cycles", "pruned", "scores")):
             np.testing.assert_array_equal(ours, theirs, err_msg=name)
 
-    loop_seconds = _best_of(lambda: matrix_many_loop(packed, jobs))
-    cold_seconds = _best_of(lambda: run_many(packed, jobs))
-    cache = PlaneGroupCache()
-    run_many(packed, jobs, cache=cache)      # warm the pack cache
-    warm_seconds = _best_of(lambda: run_many(packed, jobs, cache=cache))
-    cold_speedup = loop_seconds / cold_seconds
-    warm_speedup = loop_seconds / warm_seconds
+    def loop():
+        matrix_many_loop(packed, jobs)
+
+    cold = _paired(loop, lambda: run_many(packed, jobs), rounds=15)
+    cache = PlaneGroupCache()                # warmed by _paired's warm-up
+    warm = _paired(loop, lambda: run_many(packed, jobs, cache=cache),
+                   rounds=15)
     print(f"\nfused matrix_many over {len(jobs)} decode jobs: loop "
-          f"{loop_seconds * 1e3:.1f} ms, fused cold "
-          f"{cold_seconds * 1e3:.1f} ms ({cold_speedup:.2f}x), fused + "
-          f"warm cache {warm_seconds * 1e3:.1f} ms "
-          f"({warm_speedup:.2f}x)")
-    record_bench("kernel_micro", {
-        "gate": "fused_many_serving_shapes",
-        "loop_seconds": loop_seconds, "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds, "cold_speedup": cold_speedup,
-        "warm_speedup": warm_speedup,
-    }, context={"jobs": len(jobs), "dim": DIM,
-                "magnitude_bits": MAGNITUDE_BITS, "group": GROUP})
-    assert cold_speedup >= FUSED_COLD_MIN_SPEEDUP
-    assert warm_speedup >= FUSED_CACHED_MIN_SPEEDUP
+          f"{cold['slow_seconds'] * 1e3:.1f} ms, fused cold "
+          f"{cold['fast_seconds'] * 1e3:.1f} ms "
+          f"({cold['speedup']:.2f}x, paired min "
+          f"{cold['speedup_min']:.2f}x), fused + warm cache "
+          f"{warm['fast_seconds'] * 1e3:.1f} ms "
+          f"({warm['speedup']:.2f}x, paired min "
+          f"{warm['speedup_min']:.2f}x)")
+    for gate, timing in (("fused_many_serving_shapes_cold", cold),
+                         ("fused_many_serving_shapes_warm", warm)):
+        record_bench("kernel_micro", {"gate": gate, **timing},
+                     context={"jobs": len(jobs), "dim": DIM,
+                              "magnitude_bits": MAGNITUDE_BITS,
+                              "group": GROUP})
+    assert cold["speedup"] >= FUSED_COLD_MIN_SPEEDUP
+    assert warm["speedup"] >= FUSED_CACHED_MIN_SPEEDUP

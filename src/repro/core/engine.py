@@ -271,63 +271,44 @@ class PrunedInferenceEngine:
         return self.estimate_from_records(records, config)
 
     def estimate_from_records(self, records, config=None,
-                              pack_cache=None, pack_group=None,
                               profiler=None) -> HardwareEstimate:
         """Simulate captured attention records on the accelerator model
         vs the non-pruning baseline.  Serving uses this directly: the
         batcher slices a coalesced batch's records per request, and each
         request's estimate is identical to a solo run of that request."""
-        groups = None if pack_group is None else [pack_group]
         return self.estimate_many([records], config,
-                                  pack_cache=pack_cache,
-                                  pack_groups=groups,
                                   profiler=profiler)[0]
 
     def estimate_many(self, record_groups, config=None,
-                      pack_cache=None, pack_groups=None,
                       profiler=None) -> list[HardwareEstimate]:
-        """Estimate several record groups against one pair of
-        simulators.
+        """Estimate several record groups in one simulator pass.
 
         The serving layer slices each scheduler step's coalesced
         records into per-request groups (one per stream or classify
-        request that participated in the step) and charges them in a
-        single call here, so hardware accounting is cut per step rather
-        than per whole round — without rebuilding the tile/baseline
-        simulators and energy model for every slice.  Each group's
-        estimate is bit-identical to calling
-        :meth:`estimate_from_records` on it alone (the simulators are
-        stateless across ``run`` calls; the pack-once plane cache only
-        reuses exact-validated packed keys, so it never changes
-        results).
-
-        ``pack_cache`` threads a persistent
-        :class:`~repro.hw.backends.PlaneGroupCache` through the tile
-        simulator (the serving engines pass their per-engine cache so
-        decode-step estimates reuse packed planes across calls);
-        ``pack_groups`` gives each record group a stable cache
-        identity (e.g. a stream/request id), defaulting to the group's
-        position in this call; ``profiler`` (a
-        :class:`repro.obs.KernelProfiler`) times the pruning
-        simulator's fused kernel dispatches."""
+        request finished in the step) and charges them in a single
+        call here.  Every job of every group goes into one
+        :class:`~repro.hw.workload.JobTable`; the pruning tile and the
+        baseline each evaluate it once (one fused kernel dispatch for
+        the pruning tile), and the per-group results are summed out
+        of the per-row activity arrays.  Each group's estimate is
+        bit-identical to calling :meth:`estimate_from_records` on it
+        alone: every count is an exact integer sum over that group's
+        jobs only.  ``profiler`` (a :class:`repro.obs.KernelProfiler`)
+        times the pruning simulator's kernel dispatch."""
         from ..hw import (AE_LEOPARD, EnergyModel, TileSimulator,
                           baseline_like)
-        from ..hw.workload import jobs_from_records
+        from ..hw.workload import table_from_records
 
         config = config or AE_LEOPARD
-        simulator = TileSimulator(config, pack_cache=pack_cache,
-                                  profiler=profiler)
+        simulator = TileSimulator(config, profiler=profiler)
         base_config = baseline_like(config)
-        baseline = TileSimulator(base_config)
+        table = table_from_records(record_groups, config.magnitude_bits)
+        ours_runs = simulator.run(table).groups
+        base_runs = TileSimulator(base_config).run(table).groups
         energy = EnergyModel()
         to_ns = 1.0 / config.frequency_ghz
         estimates = []
-        for position, records in enumerate(record_groups):
-            group_key = (pack_groups[position]
-                         if pack_groups is not None else position)
-            jobs = jobs_from_records(records, pack_group=group_key)
-            ours = simulator.run(jobs)
-            base = baseline.run(jobs)
+        for ours, base in zip(ours_runs, base_runs):
             ours_energy = energy.total(ours.counters, config)
             base_energy = energy.total(base.counters, base_config)
             estimates.append(HardwareEstimate(

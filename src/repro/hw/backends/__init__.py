@@ -13,15 +13,16 @@ backend.
 
 Shipped backends:
 
-``numpy-ref``
-    the original O(bit-planes) einsum kernel — the reference
-    semantics, and the default.
 ``numpy-packed``
-    the fast path: sign-magnitude key planes packed into per-cycle
-    plane-group words, one fused GEMM over the per-key plane cache,
+    the default and the fast path: sign-magnitude key planes packed
+    into per-cycle plane-group words, one fused GEMM per shape band,
     and an integer scan for the margin/termination sweep.  ≥2x the
     reference at paper-scale tiles (S=512-1280), pinned by
     ``benchmarks/test_kernel_micro.py``.
+``numpy-ref``
+    the original O(bit-planes) einsum kernel — the reference
+    semantics and the conformance oracle every other backend is
+    checked against; it has no fused tier.
 ``numba``
     optional JIT per-pair kernel with true per-score early exit;
     auto-registered only when :mod:`numba` imports.
@@ -35,16 +36,17 @@ Selection precedence: an explicit ``backend=`` argument
 ``TileConfig.kernel_backend``, then the ``REPRO_KERNEL_BACKEND``
 environment variable, then :data:`DEFAULT_BACKEND`.
 
-Beyond per-tile ``matrix`` calls, backends may implement a batched
-``matrix_many`` entry point taking a list of :class:`KernelJob` and
-returning one ``(cycles, pruned, scores)`` triple per job.  The
-serving regime issues many small tiles per step (one per
-stream/layer/head), and a fused implementation can amortize per-call
-pack/GEMM overhead across them; ``numpy-packed`` and ``torch`` fuse
-all jobs sharing a head-dim into single GEMMs.  Backends without
-``matrix_many`` are driven through :func:`run_many`, which falls back
-to a per-job ``matrix`` loop — results are bit-identical either way,
-pinned by ``tests/test_fused.py``.
+Beyond per-tile ``matrix`` calls, backends may implement two fused
+tiers.  ``matrix_many`` takes a list of :class:`KernelJob` and returns
+one ``(cycles, pruned, scores)`` triple per job.  ``matrix_table``
+takes a :class:`KernelTable` — every job of a hardware-accounting
+call as stacked arrays, one row per query row — and returns the three
+outputs as ``(R, S_k)`` arrays, so a whole serving step is evaluated
+without per-job Python.  ``numpy-packed`` and ``torch`` implement
+both with banded GEMMs.  :func:`run_many` dispatches either input to
+the fused tier when the backend has one and otherwise to a per-job
+``matrix`` loop — results are bit-identical either way, pinned by
+``tests/test_fused.py``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import Any, Protocol, runtime_checkable
 import numpy as np
 
 ENV_VAR = "REPRO_KERNEL_BACKEND"
-DEFAULT_BACKEND = "numpy-ref"
+DEFAULT_BACKEND = "numpy-packed"
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +82,33 @@ class KernelJob:
     pack_key: Any = None
 
 
+@dataclass(frozen=True, eq=False)
+class KernelTable:
+    """Many score tiles of one plane schedule as stacked arrays.
+
+    Query rows are job-major without padding: job ``j`` owns the next
+    ``s_q[j]`` rows of ``q`` and ``valid`` and scores them against
+    ``k[j, :s_k[j]]``.  Key rows and head-dim columns past a job's
+    extent must be zero and ``valid`` must be False there.  Kernel
+    outputs are ``(R, S_k)`` arrays, one row per query row, equal to
+    the job's ``matrix`` result inside its extent and zero (``pruned``
+    False) past ``s_k[j]``.
+    """
+
+    q: np.ndarray            # (R, D) integer query rows
+    k: np.ndarray            # (N, S_k, D) integer keys
+    threshold: np.ndarray    # (N,) float64
+    valid: np.ndarray        # (R, S_k) bool
+    s_q: np.ndarray          # (N,) int64
+    s_k: np.ndarray          # (N,) int64
+    magnitude_bits: int
+    group: int
+    margin_scale: float = 1.0
+
+    def __len__(self) -> int:
+        return len(self.threshold)
+
+
 @runtime_checkable
 class KernelBackend(Protocol):
     """The backend contract: the exact semantics of the reference
@@ -101,10 +130,11 @@ class KernelBackend(Protocol):
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ...
 
-    # Optional batched tier.  Backends may omit this — run_many()
+    # Optional fused tiers.  Backends may omit them — run_many()
     # falls back to a per-job matrix loop — but implementations must
     # stay bit-identical to that loop for every job mix.
     # def matrix_many(self, jobs, cache=None): ...
+    # def matrix_table(self, table): ...
 
 
 def matrix_many_loop(backend: KernelBackend, jobs, cache=None):
@@ -121,13 +151,46 @@ def matrix_many_loop(backend: KernelBackend, jobs, cache=None):
             for job in jobs]
 
 
-def run_many(backend: KernelBackend, jobs, cache=None):
-    """Evaluate a batch of :class:`KernelJob` on ``backend``.
+def matrix_table_loop(backend: KernelBackend, table: KernelTable):
+    """Reference ``matrix_table``: one ``matrix`` call per job on its
+    unpadded extent, written into the stacked outputs."""
+    shape = table.valid.shape
+    cycles = np.zeros(shape, dtype=np.int64)
+    pruned = np.zeros(shape, dtype=bool)
+    scores = np.zeros(shape, dtype=np.float64)
+    row = 0
+    for j in range(len(table)):
+        rows = slice(row, row + int(table.s_q[j]))
+        row = rows.stop
+        s_k = int(table.s_k[j])
+        if rows.start == rows.stop or s_k == 0:
+            continue
+        out = (cycles[rows, :s_k], pruned[rows, :s_k],
+               scores[rows, :s_k])
+        for dest, value in zip(out, backend.matrix(
+                table.q[rows], table.k[j, :s_k],
+                float(table.threshold[j]), table.magnitude_bits,
+                table.group, valid=table.valid[rows, :s_k],
+                margin_scale=table.margin_scale)):
+            dest[...] = value
+    return cycles, pruned, scores
 
-    Dispatches to the backend's fused ``matrix_many`` when it has one,
-    else to the per-job loop — callers get identical results either
-    way and never need to feature-test the backend.
+
+def run_many(backend: KernelBackend, jobs, cache=None):
+    """Evaluate a batch of :class:`KernelJob` — or a
+    :class:`KernelTable` — on ``backend``.
+
+    Dispatches to the backend's fused ``matrix_many`` /
+    ``matrix_table`` when it has one, else to the per-job loop —
+    callers get identical results either way and never need to
+    feature-test the backend.  A list returns one triple per job, a
+    table one stacked ``(cycles, pruned, scores)`` triple.
     """
+    if isinstance(jobs, KernelTable):
+        fused = getattr(backend, "matrix_table", None)
+        if fused is None:
+            return matrix_table_loop(backend, jobs)
+        return fused(jobs)
     jobs = list(jobs)
     if not jobs:
         return []
@@ -207,8 +270,8 @@ except ImportError:           # pragma: no cover - torch is optional
 
 from .packed_common import PlaneGroupCache  # noqa: E402
 
-__all__ = ["KernelBackend", "KernelJob", "PlaneGroupCache",
-           "register_backend", "unregister_backend",
+__all__ = ["KernelBackend", "KernelJob", "KernelTable",
+           "PlaneGroupCache", "register_backend", "unregister_backend",
            "get_backend", "list_backends", "resolve_backend_name",
-           "run_many", "matrix_many_loop",
+           "run_many", "matrix_many_loop", "matrix_table_loop",
            "ENV_VAR", "DEFAULT_BACKEND"]

@@ -3,22 +3,23 @@
 Same semantics as ``numpy-ref``, restructured around the shared
 machinery in :mod:`repro.hw.backends.packed_common`:
 
-1. **Packed sign-magnitude words + a per-key plane cache.**  Keys are
-   packed into sign-magnitude words (sign bit above the magnitude
-   field) once, and each DPU cycle's plane group is sliced out of the
-   words as one integer field — ``sign * ((mag >> lo) & mask)``
-   scaled by ``2^lo`` — so the kernel touches O(cycles) small key
-   matrices instead of O(bit-planes) full plane tensors.  With a
+1. **Packed plane groups + a per-key plane cache.**  Each DPU
+   cycle's plane group is cut out of the key magnitudes as one masked
+   integer field — ``sign * (|k| & bits lo..lo+n-1)``, staged in the
+   narrowest integer type that holds the keys — so the kernel touches
+   O(cycles) small key matrices instead of O(bit-planes) full plane
+   tensors.  With a
    :class:`~repro.hw.backends.PlaneGroupCache` the pack happens once
    per key matrix and decode steps append only the new suffix rows.
 
 2. **Fused GEMMs.**  All per-cycle plane groups (plus the sign plane
    needed for the margin) stack into a single
    ``(cycles+1) * S_k x D`` operand, so one tile needs exactly two
-   matrix products — and ``matrix_many`` goes further, stacking every
-   job that shares a head-dim/plane schedule into one banded
-   block-diagonal batched GEMM, amortizing per-call BLAS and Python
-   overhead across the many small tiles of a serving step.  When every
+   matrix products — and ``matrix_many`` / ``matrix_table`` go
+   further, stacking every job that shares a head-dim/plane schedule
+   into one banded block-diagonal batched GEMM, amortizing per-call
+   BLAS and Python overhead across the many small tiles of a serving
+   step.  When every
    product provably fits float32's 24-bit exact-integer window the
    GEMMs run in float32 at twice the dgemm throughput — the
    power-of-two plane scaling only shifts the exponent, so exactness
@@ -40,7 +41,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import KernelJob, register_backend
-from .packed_common import fused_matrix_many, numpy_batched_gemm
+from .packed_common import (fused_matrix_many, fused_matrix_table,
+                            numpy_batched_gemm)
 
 
 def matrix(q, k, threshold: float, magnitude_bits: int, group: int,
@@ -72,6 +74,10 @@ class NumpyPackedBackend:
     @staticmethod
     def matrix_many(jobs, cache=None):
         return fused_matrix_many(jobs, numpy_batched_gemm, cache=cache)
+
+    @staticmethod
+    def matrix_table(table):
+        return fused_matrix_table(table, numpy_batched_gemm)
 
 
 BACKEND = register_backend(NumpyPackedBackend())

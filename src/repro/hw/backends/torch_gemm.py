@@ -24,7 +24,7 @@ import numpy as np
 import torch
 
 from . import KernelJob, register_backend
-from .packed_common import fused_matrix_many
+from .packed_common import fused_matrix_many, fused_matrix_table
 
 # float32 exactness relies on true fp32 accumulation; TF32's 10-bit
 # mantissa would silently break the 2^24 exact-integer window
@@ -64,6 +64,10 @@ class TorchBackend:
     @staticmethod
     def matrix_many(jobs, cache=None):
         return fused_matrix_many(jobs, torch_batched_gemm, cache=cache)
+
+    @staticmethod
+    def matrix_table(table):
+        return fused_matrix_table(table, torch_batched_gemm)
 
 
 BACKEND = register_backend(TorchBackend())

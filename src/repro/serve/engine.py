@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..hw.backends import PlaneGroupCache
 from ..obs.metrics import COUNT_BUCKETS, as_registry
 from ..obs.tracing import as_tracer
 from .batcher import BatchPolicy, CoalescedBatch, DynamicBatcher, \
@@ -235,10 +234,6 @@ class ServingEngine:
         self._tracer = as_tracer(tracer)
         self._profiler = profiler
         self._bind_metrics()
-        # per-engine pack-once plane cache: decode-step estimates of
-        # the same stream reuse packed key bit-planes across steps
-        self._pack_cache = (PlaneGroupCache(counters=self._pack_counters)
-                            if estimate_hardware else None)
         self._clock = clock
         self._faults = faults
         self._retries = retries
@@ -340,12 +335,6 @@ class ServingEngine:
         # handles for the subsystems this engine constructs; binding
         # unconditionally keeps the series present (at 0) even when the
         # subsystem never materializes, so dashboards don't gap
-        self._pack_counters = {
-            event: m.counter(
-                "repro_pack_cache_events_total",
-                "plane-group cache lookups by outcome",
-                event=event, **labels)
-            for event in ("hit", "extend", "miss")}
         self._kv_counters = {
             event: m.counter(
                 "repro_kv_slot_events_total",
@@ -728,7 +717,7 @@ class ServingEngine:
         self._batcher.discard_stream(request_id)
         if stream.slot is not None:         # running in the slot buffer
             self._slots.evict(stream)
-        self._finalize_stream(stream)
+        self._finalize_streams([stream])
         self._streams.pop(request_id, None)
         return self._results.pop(request_id)
 
@@ -801,9 +790,7 @@ class ServingEngine:
                        for r in records]
                       for i in range(len(requests))]
             estimates = self.engine.estimate_many(
-                slices, self._hw_config, pack_cache=self._pack_cache,
-                pack_groups=[r.request_id for r in requests],
-                profiler=self._profiler)
+                slices, self._hw_config, profiler=self._profiler)
         completed = []
         for i, request in enumerate(requests):
             length = int(batch.lengths[i])
@@ -903,8 +890,9 @@ class ServingEngine:
             caches, stream.caches = stream.caches, None
             slots.admit(stream, caches)
         completed: list[int] = []
+        finished: list[StreamState] = []
         if fresh:
-            completed += self._prefill(fresh, slots)
+            completed += self._prefill(fresh, slots, finished)
         self.stats.record_step(admitted=len(admitted),
                                preempted=len(plan.preempt),
                                resumed=len(resumed))
@@ -914,18 +902,21 @@ class ServingEngine:
         if len(slots):
             caches = slots.batch()
             chunk = list(slots.streams)
-            completed += self._decode(chunk, caches)
+            completed += self._decode(chunk, caches, finished)
             slots.advance(caches)
             for stream in chunk:
                 if stream.done:
                     slots.evict(stream)
+        # every stream this step finished is charged in one estimate
+        self._finalize_streams(finished)
         return completed
 
     # -- model-facing sub-steps -----------------------------------------
-    def _prefill(self, streams: list[StreamState],
-                 slots: KVSlotBuffer) -> list[int]:
+    def _prefill(self, streams: list[StreamState], slots: KVSlotBuffer,
+                 finished: list[StreamState]) -> list[int]:
         """Coalesced prompt prefill; survivors move straight into the
-        slot buffer."""
+        slot buffer, exhausted streams are marked done and appended to
+        ``finished`` for the step's finalization."""
         model = self.engine.model
         lengths = np.array([s.length for s in streams], dtype=np.int64)
         tokens = np.zeros((len(streams), self._prefill_width),
@@ -963,19 +954,20 @@ class ServingEngine:
             stream.token_times.append(self._now)
             stream.last_logits = logits[i].copy()
             if self._stream_exhausted(stream):
-                self._finalize_stream(stream)
+                stream.done = True
+                finished.append(stream)
                 completed.append(stream.stream_id)
             else:
                 slots.admit(stream, trimmed)
         return completed
 
-    def _decode(self, chunk: list[StreamState],
-                caches: list[dict]) -> list[int]:
+    def _decode(self, chunk: list[StreamState], caches: list[dict],
+                finished: list[StreamState]) -> list[int]:
         """One coalesced decode forward over ``chunk`` (whose rows are
         already stacked in ``caches``); appends tokens, slices records,
-        and finalizes exhausted streams (cache release is the
-        scheduler's job — rows were sliced against this forward's
-        composition)."""
+        and marks exhausted streams done, appending them to
+        ``finished`` (cache release is the scheduler's job — rows were
+        sliced against this forward's composition)."""
         model = self.engine.model
         last = np.array([s.tokens[-1] for s in chunk], dtype=np.int64)
         histories = [int(n) for n in caches[0]["lengths"]]
@@ -1006,7 +998,8 @@ class ServingEngine:
             stream.token_times.append(self._now)
             stream.last_logits = logits[i].copy()
             if self._stream_exhausted(stream):
-                self._finalize_stream(stream)
+                stream.done = True
+                finished.append(stream)
                 completed.append(stream.stream_id)
         return completed
 
@@ -1027,15 +1020,23 @@ class ServingEngine:
         return (stream.new_tokens >= stream.max_new_tokens
                 or stream.length >= self._capacity)
 
-    def _finalize_stream(self, stream: StreamState) -> None:
+    def _finalize_streams(self, streams: list[StreamState]) -> None:
+        """Record ``ok`` results for streams that stopped generating.
+        With hardware accounting on, all of them are charged in one
+        ``estimate_many`` call; each estimate equals a solo estimate
+        of that stream's records."""
+        charged = ([s for s in streams if s.records_by_layer]
+                   if self._estimate_hw else [])
+        estimates = (self.engine.estimate_many(
+            [s.flat_records() for s in charged], self._hw_config,
+            profiler=self._profiler) if charged else [])
+        by_id = dict(zip((s.stream_id for s in charged), estimates))
+        for stream in streams:
+            self._finalize_stream(stream, by_id.get(stream.stream_id))
+
+    def _finalize_stream(self, stream: StreamState, estimate) -> None:
         stream.done = True
-        estimate = None
-        if self._estimate_hw and stream.records_by_layer:
-            estimate = self.engine.estimate_from_records(
-                stream.flat_records(), self._hw_config,
-                pack_cache=self._pack_cache,
-                pack_group=stream.stream_id,
-                profiler=self._profiler)
+        if estimate is not None:
             self.stats.hardware.add(estimate)
         stream.evict()
         self.stats.record_terminal(REASON_OK)

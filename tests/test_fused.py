@@ -256,44 +256,8 @@ def test_decode_shaped_reuse_hits_cache():
 # simulator / estimator integration
 # ---------------------------------------------------------------------------
 
-def _recorded_jobs(seed=0):
-    from repro.hw.workload import job_from_arrays
-
-    rng = np.random.default_rng(seed)
-    jobs = []
-    for i in range(5):
-        s = int(rng.integers(2, 7))
-        job = job_from_arrays(rng.standard_normal((s, 16)),
-                              rng.standard_normal((s + 3, 16)),
-                              threshold=-0.5, layer_index=i % 2, head=i)
-        job.metadata["pack_key"] = ("g", i % 2, i)
-        jobs.append(job)
-    return jobs
-
-
-def test_tile_simulator_shared_cache_is_bit_identical():
-    """TileSimulator results do not depend on whether a pack cache is
-    fresh, shared, or pre-warmed by earlier runs."""
-    from repro.hw import AE_LEOPARD, TileSimulator
-
-    jobs = _recorded_jobs()
-    solo = TileSimulator(AE_LEOPARD, backend="numpy-packed").run(jobs)
-    shared_cache = PlaneGroupCache()
-    shared = TileSimulator(AE_LEOPARD, backend="numpy-packed",
-                           pack_cache=shared_cache)
-    first = shared.run(jobs)
-    warm = shared.run(jobs)         # second run: all planes cached
-    assert shared_cache.stats()["hits"] > 0
-    for result in (first, warm):
-        assert result.total_cycles == solo.total_cycles
-        assert vars(result.counters) == vars(solo.counters)
-
-
-def test_estimate_many_pack_groups_are_bit_identical():
-    """estimate_many with a persistent cache and stable pack groups
-    returns the same estimates as solo estimate_from_records calls."""
+def _classifier_record_groups():
     import repro.serve.__main__ as serve_main
-    from repro.hw import AE_LEOPARD
 
     engine = serve_main.build_classifier_engine()
     groups = []
@@ -304,17 +268,40 @@ def test_estimate_many_pack_groups_are_bit_identical():
         _, records = engine.run_recorded(
             lambda: engine.logits_for(inputs, mask))
         groups.append(records)
+    return engine, groups
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tile_simulator_table_groups_match_job_lists(backend):
+    """Each group of a stacked JobTable run equals running that
+    group's HeadJob list alone, on every backend."""
+    from repro.hw import AE_LEOPARD, TileSimulator, baseline_like
+    from repro.hw.workload import jobs_from_records, table_from_records
+
+    _, groups = _classifier_record_groups()
+    table = table_from_records(groups)
+    for config in (AE_LEOPARD, baseline_like(AE_LEOPARD)):
+        simulator = TileSimulator(config, backend=backend)
+        stacked = simulator.run(table)
+        assert stacked.jobs == len(table)
+        assert len(stacked.groups) == len(groups)
+        for result, records in zip(stacked.groups, groups):
+            solo = simulator.run(jobs_from_records(records))
+            assert result == solo
+        assert stacked.total_cycles == sum(
+            r.total_cycles for r in stacked.groups)
+
+
+def test_estimate_many_groups_are_bit_identical():
+    """estimate_many over several groups returns the same estimates as
+    solo estimate_from_records calls."""
     from dataclasses import replace
+
+    from repro.hw import AE_LEOPARD
+
+    engine, groups = _classifier_record_groups()
     config = replace(AE_LEOPARD, kernel_backend="numpy-packed")
-    cache = PlaneGroupCache()
-    batched = engine.estimate_many(groups, config, pack_cache=cache,
-                                   pack_groups=["a", "b"])
-    # repeat with the warm cache: decode-style reuse, same numbers
-    warm = engine.estimate_many(groups, config, pack_cache=cache,
-                                pack_groups=["a", "b"])
+    batched = engine.estimate_many(groups, config)
     solos = [engine.estimate_from_records(records, config)
              for records in groups]
-    assert cache.stats()["hits"] > 0
-    for estimate, again, solo in zip(batched, warm, solos):
-        assert estimate == solo
-        assert again == solo
+    assert batched == solos
